@@ -30,6 +30,10 @@ go vet -vettool=/tmp/bdslint.ci ./internal/core
 echo "bdslint ignore report:" && cat /tmp/bdslint_ignores.json
 
 go test ./...
+# The engine's schedules depend on the worker count, which defaults to
+# GOMAXPROCS: run the core tests at 1, 2 and 4 so the gate does not depend
+# on the host's core count.
+go test -cpu 1,2,4 ./internal/core
 go test -race ./internal/core ./internal/atpg ./internal/netlist
 
 # Batch-scheduler race + identity check at scale: regenerate the 100k-gate

@@ -1,9 +1,11 @@
 // Package spawn flags goroutine creation in the engine packages. All
-// engine concurrency is required to flow through the bounded worker pool in
-// internal/core/engine.go — its single annotated `go` site — so worker
-// counts stay clamped, results reduce in deterministic candidate order, and
-// the race gate covers every spawn. An ad-hoc goroutine anywhere else in
-// the result-affecting packages bypasses all three properties.
+// engine concurrency is required to flow through the bounded worker pool,
+// evaluator.pool in internal/core/engine.go — its single annotated `go`
+// site, shared by the wave reducer and the batch scheduler — so worker
+// counts stay clamped, results reduce in deterministic candidate order,
+// worker panics reach the caller, and the race gate covers every spawn. An
+// ad-hoc goroutine anywhere else in the result-affecting packages bypasses
+// all four properties.
 package spawn
 
 import (
@@ -16,7 +18,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "spawn",
 	Doc: "forbid goroutine creation in engine packages outside the bounded " +
-		"worker pool (core/engine.go), which carries the one sanctioned " +
+		"worker pool (evaluator.pool in core/engine.go), which carries the one sanctioned " +
 		"//bdslint:ignore spawn site",
 	Guarded: []string{"internal/core", "internal/network", "internal/netlist", "internal/atpg"},
 	Run:     run,
@@ -26,7 +28,7 @@ func run(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				pass.Reportf(g.Pos(), "goroutine creation in an engine package: use the bounded worker pool in core/engine.go or justify with //bdslint:ignore spawn")
+				pass.Reportf(g.Pos(), "goroutine creation in an engine package: use the bounded worker pool (evaluator.pool in core/engine.go) or justify with //bdslint:ignore spawn")
 			}
 			return true
 		})

@@ -2,8 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/network"
 )
@@ -114,23 +112,15 @@ const batchConeCap = 4096
 type batchMember struct {
 	pos     int           // position in the pass's id order (diagnostic)
 	id      network.SigID // dividend signal
-	f       string        // dividend name at batch-build time
 	trivial bool          // node was nil/zero-cover at scan time: nothing to do
 	solo    bool          // over-cap footprint: run via the serial fallback
 
-	cands   []candidate
+	// The member's trial sequence (dividend name and candidates at
+	// batch-build time), prepared in phase A against the frozen pre-batch
+	// network exactly as a wave prepares against the live one; sf also
+	// decides rule E3's applicability.
+	trialSeq
 	candIDs []network.SigID // SigID of each candidate (rule E2)
-
-	// Phase-A precomputed per-candidate state: the signature filter's
-	// verdicts (the filter is not thread-safe) and the trial-cache keys and
-	// audit fingerprints (derived against the frozen pre-batch cones,
-	// exactly as ev.plans derives them serially).
-	filtered []bool
-	keys     []trialKey
-	keyOK    []bool
-	fings    [][2]network.ConeHash
-	fingOK   []bool
-	sf       *simSigFilter // for tally nil-ness and rule E3 applicability
 
 	fp    []network.SigID // claim footprint: node-driven {f} ∪ TFI ∪ TFO
 	tfo   []network.SigID // node-driven TFO(f) (shared tail of fp)
@@ -138,27 +128,13 @@ type batchMember struct {
 	side  []network.SigID // non-PI fanins of TFO nodes (rule E3)
 
 	// Phase-B results.
-	res      []planResult
+	cur      int  // slot in progress (len(cands) = the pooled attempt), for panic attribution
 	consumed int  // slots the serial schedule would have evaluated
 	planIdx  int  // first-positive (or best-gain) slot; -1 = none
 	pooled   bool // plan came from the pooled fallback
 	plan     plan
 	hasPlan  bool
 	spec     int // speculative trial verdicts produced (incl. cache replays)
-
-	stores []storeIntent // buffered trial-cache stores, applied at the sweep
-}
-
-// storeIntent is one deferred TrialCache.store call. Workers buffer stores
-// instead of publishing them so the cache content every member sees during
-// phase B is the frozen batch-start content — store order (a worker race)
-// can then never influence anything.
-type storeIntent struct {
-	key     trialKey
-	p       plan
-	ok      bool
-	fing    [2]network.ConeHash
-	hasFing bool
 }
 
 // batchObserver, when set (tests only), receives every multi-member batch
@@ -236,7 +212,7 @@ scan:
 			took++
 			continue
 		}
-		m, ok := s.buildMember(pos, id, fn.Name, ix)
+		m, ok := s.buildMember(pos, id, fn.Name)
 		if !ok {
 			// Unbatchable footprint: take it as a serial solo when nothing
 			// has claimed yet, otherwise end the batch before it.
@@ -283,38 +259,15 @@ scan:
 			work = append(work, m)
 		}
 	}
-	ev := r.ev
-	for _, sc := range ev.scratches {
-		sc.epoch = ev.epoch
-		sc.epochIdx = ix
-	}
-	if ev.workers == 1 || len(work) == 1 {
-		for _, m := range work {
-			s.runMember(m, ev.scratches[0])
+	r.ev.pool(nw, len(work), func(sc *scratch, k int) {
+		s.runMember(work[k], sc)
+	}, func(k int) (string, string) {
+		m := work[k]
+		if m.cur < len(m.cands) {
+			return m.f, m.cands[m.cur].name
 		}
-	} else {
-		n := ev.workers
-		if n > len(work) {
-			n = len(work)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			//bdslint:ignore spawn this is the batch scheduler's bounded member-dispatch pool, the cross-dividend counterpart of the evaluator's wave pool
-			go func(sc *scratch) {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(work) {
-						return
-					}
-					s.runMember(work[k], sc)
-				}
-			}(ev.scratches[w])
-		}
-		wg.Wait()
-	}
+		return m.f, "pool"
+	})
 
 	// Phase C (serial): sweep the members in pass order.
 	return took, s.sweep()
@@ -322,11 +275,11 @@ scan:
 
 // buildMember extracts member m's cones and precomputes its candidate list,
 // filter verdicts, and cache keys. ok=false flags an over-cap footprint.
-func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, ix *passIndex) (*batchMember, bool) {
+func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) (*batchMember, bool) {
 	r := s.r
 	nw := r.nw
 	opt := r.opt
-	m := &batchMember{pos: pos, id: id, f: f}
+	m := &batchMember{pos: pos, id: id, trialSeq: trialSeq{f: f}}
 
 	s.arena.Reset()
 	var ok bool
@@ -342,15 +295,12 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, ix *pa
 	m.guard = append(append(m.guard[:0], id), nw.FaninIDsOf(id)...)
 	m.guard = append(m.guard, m.tfo...)
 
-	m.cands = candidateDivisors(nw, r.sigs, r.cc, f, opt, ix)
-	if len(m.cands) > r.maxTrials {
-		m.cands = m.cands[:r.maxTrials]
-	}
-	if len(m.cands) == 0 {
+	cands := r.candidates(f)
+	if len(cands) == 0 {
 		return m, true
 	}
-	m.sf = newSimSigFilter(nw, f, r.cc, opt)
-	if m.sf != nil {
+	sf := newSimSigFilter(nw, f, r.cc, opt)
+	if sf != nil {
 		for _, x := range m.tfo {
 			for _, fi := range nw.FaninIDsOf(x) {
 				if !nw.IsPIID(fi) {
@@ -359,80 +309,28 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, ix *pa
 			}
 		}
 	}
-	m.filtered = make([]bool, len(m.cands))
-	m.candIDs = make([]network.SigID, len(m.cands))
-	for ci, c := range m.cands {
-		did, _ := nw.IDOf(c.name)
-		m.candIDs[ci] = did
-		m.filtered[ci] = !m.sf.admits(c)
+	m.candIDs = make([]network.SigID, len(cands))
+	for ci, c := range cands {
+		m.candIDs[ci], _ = nw.IDOf(c.name)
 	}
-	if r.tc != nil {
-		ct := nw.Cones()
-		m.keys = make([]trialKey, len(m.cands))
-		m.keyOK = make([]bool, len(m.cands))
-		audit := opt.Audit
-		var fFing network.ConeHash
-		if audit {
-			fFing = nw.ConeFingerprint(f)
-			m.fings = make([][2]network.ConeHash, len(m.cands))
-			m.fingOK = make([]bool, len(m.cands))
-		}
-		for ci, c := range m.cands {
-			if m.filtered[ci] {
-				continue
-			}
-			if k, kOK := trialCacheKey(ct, f, c, opt); kOK {
-				m.keys[ci], m.keyOK[ci] = k, true
-				if audit {
-					m.fings[ci] = [2]network.ConeHash{fFing, nw.ConeFingerprint(c.name)}
-					m.fingOK[ci] = true
-				}
-			}
-		}
-	}
+	m.trialSeq = newTrialSeq(f, cands, sf)
+	m.prepare(nw, opt, r.tc)
 	return m, true
 }
 
 // runMember executes member m's whole trial sequence against the frozen
-// batch-start network on one worker: the wave engine's per-slot logic
-// (filter verdict, cache replay, real trial) at candidate granularity, with
-// first-positive early exit (or a full scan plus best-gain selection under
-// Options.BestGain) and the pooled fallback inline.
+// batch-start network on one worker: the wave's slot function at candidate
+// granularity, with first-positive early exit (or a full scan plus
+// best-gain selection under Options.BestGain) and the pooled fallback
+// inline.
 func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 	r := s.r
 	nw := r.nw
 	opt := r.opt
-	m.res = make([]planResult, len(m.cands))
 	m.planIdx = -1
-
 	runTrial := func(i int) {
-		c := m.cands[i]
-		if m.filtered[i] {
-			m.res[i].filtered = true
-			return
-		}
-		if r.tc != nil && m.keyOK[i] {
-			if e, hit := r.tc.lookup(m.keys[i]); hit {
-				if m.fingOK != nil && m.fingOK[i] && e.hasFing && e.fing != m.fings[i] {
-					m.res[i].collided = true // degrade to a real trial
-				} else if p, pOK, usable := e.replay(nw, m.f, c.name, opt.NoOverlay); usable {
-					if opt.Audit {
-						auditCachedHit(sc, nw, m.f, c, opt, p, pOK)
-					}
-					m.res[i].p, m.res[i].ok, m.res[i].cached = p, pOK, true
-					return
-				}
-			}
-		}
-		m.res[i].p, m.res[i].ok = planPair(sc, nw, m.f, c, opt)
-		if r.tc != nil && m.keyOK[i] {
-			var fg [2]network.ConeHash
-			hasFg := m.fingOK != nil && m.fingOK[i]
-			if hasFg {
-				fg = m.fings[i]
-			}
-			m.stores = append(m.stores, storeIntent{m.keys[i], m.res[i].p, m.res[i].ok, fg, hasFg})
-		}
+		m.cur = i
+		m.runSlot(sc, nw, i, opt, r.tc)
 	}
 
 	if opt.BestGain {
@@ -440,9 +338,9 @@ func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 			runTrial(i)
 		}
 		m.consumed = len(m.cands)
-		for i, res := range m.res {
+		for i, res := range m.slots {
 			if res.ok && res.p.gain > 0 &&
-				(m.planIdx < 0 || res.p.gain > m.res[m.planIdx].p.gain) {
+				(m.planIdx < 0 || res.p.gain > m.slots[m.planIdx].p.gain) {
 				m.planIdx = i // strict > keeps the earliest slot on ties
 			}
 		}
@@ -450,22 +348,23 @@ func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 		for i := range m.cands {
 			runTrial(i)
 			m.consumed = i + 1
-			if m.res[i].ok && m.res[i].p.gain > 0 {
+			if m.slots[i].ok && m.slots[i].p.gain > 0 {
 				m.planIdx = i
 				break // paper: take the first positive-gain division
 			}
 		}
 	}
 	if m.planIdx >= 0 {
-		m.plan, m.hasPlan = m.res[m.planIdx].p, true
+		m.plan, m.hasPlan = m.slots[m.planIdx].p, true
 	} else if opt.Pool && opt.Config != Basic {
+		m.cur = len(m.cands)
 		if p, ok := planPooled(sc, nw, m.f, m.cands, opt); ok {
 			m.plan, m.hasPlan, m.pooled = p, true, true
 		}
 		m.spec++ // the pooled attempt is speculation too
 	}
 	for i := 0; i < m.consumed; i++ {
-		if !m.res[i].filtered {
+		if !m.slots[i].filtered {
 			m.spec++
 		}
 	}
@@ -503,7 +402,7 @@ func (s *batchScheduler) sweep() bool {
 		// (and replay the byte-identical outcome the store captured) or can
 		// never match again — and an eviction re-run below gets to replay
 		// them instead of re-trialing.
-		s.applyStores(m)
+		m.publish(r.tc)
 		if s.evict(m) {
 			r.st.ConflictEvictions++
 			if m.hasPlan {
@@ -605,15 +504,7 @@ func planCreatesNames(p *plan) bool {
 // tally folds the member's consumed result slots into the run statistics,
 // exactly as the wave engine tallies each wave.
 func (s *batchScheduler) tally(m *batchMember) {
-	tallySigFilter(s.r.st, m.res[:m.consumed], m.sf, s.r.tc != nil)
-}
-
-// applyStores publishes the member's buffered trial-cache stores.
-func (s *batchScheduler) applyStores(m *batchMember) {
-	for _, in := range m.stores {
-		s.r.tc.store(in.key, in.p, in.ok, in.fing, in.hasFing)
-	}
-	m.stores = nil
+	tallySigFilter(s.r.st, m.slots[:m.consumed], m.sf, s.r.tc != nil)
 }
 
 // commitMarks carries one commit's conflict-mark state across the

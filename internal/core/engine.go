@@ -396,8 +396,10 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 	return true
 }
 
-// planResult is one slot of a fan-out batch.
-type planResult struct {
+// trialSlot is one candidate's slot in a trial sequence: the serial side's
+// preparation (filter verdict, cache key, Audit fingerprint) and the
+// worker's result.
+type trialSlot struct {
 	p  plan
 	ok bool
 	// filtered marks a candidate rejected by the simulation-signature
@@ -412,13 +414,119 @@ type planResult struct {
 	cached bool
 	// collided marks a cache hit rejected by the Options.Audit structural
 	// fingerprint cross-check (two distinct cones on one cache key); the
-	// trial then ran for real and overwrote the colliding entry.
+	// trial then ran for real and its store overwrites the colliding entry.
 	collided bool
+
+	// key (valid when keyOK) is the trial-cache key, derived serially
+	// against the pre-dispatch cones. Under Options.Audit every cache hit is
+	// also collision-checked against fing, an independently seeded
+	// structural fingerprint of the two cones (see network.ConeFingerprint):
+	// a 128-bit key collision would replay the wrong verdict, and the
+	// byte-level auditCachedHit replay would then panic on an honest hash
+	// accident. The fingerprint check runs first and degrades a mismatch to
+	// a real trial instead.
+	key     trialKey
+	keyOK   bool
+	fing    [2]network.ConeHash
+	hasFing bool
+	// store is the slot's buffered store intent: the trial ran for real
+	// under a valid key, and publish has not yet memoized its outcome.
+	store bool
 }
 
-// evaluator fans planPair calls over a bounded worker pool. Each worker
-// owns one scratch arena for its lifetime; results land in a slice indexed
-// by candidate position, so the reducer sees them in deterministic order
+// trialSeq is one dividend's trial sequence: its candidates in trial order
+// and one slot each. Both schedules drive it through the same three steps —
+// prepare (serial), runSlot (on a worker), publish (serial). The wave
+// reducer builds one sequence per wave; the batch scheduler builds one per
+// member, prepared in phase A, run in phase B and published at the member's
+// sweep slot.
+type trialSeq struct {
+	f     string
+	cands []candidate
+	sf    *simSigFilter // nil = prefilter off
+	slots []trialSlot
+}
+
+func newTrialSeq(f string, cands []candidate, sf *simSigFilter) trialSeq {
+	return trialSeq{f: f, cands: cands, sf: sf, slots: make([]trialSlot, len(cands))}
+}
+
+// prepare is the serial half of every slot: the signature-filter verdict
+// (the filter is not thread-safe) and, for admitted candidates while the
+// trial cache is on (tc != nil), the cache key and Audit fingerprint. It
+// takes the live network concretely (not as a Reader): the key derivation
+// and the fingerprints need the cone machinery only *Network carries.
+func (q *trialSeq) prepare(nw *network.Network, opt Options, tc *TrialCache) {
+	var ct *network.ConeTable
+	var fFing network.ConeHash
+	if tc != nil {
+		ct = nw.Cones()
+		if opt.Audit {
+			fFing = nw.ConeFingerprint(q.f)
+		}
+	}
+	for i, c := range q.cands {
+		s := &q.slots[i]
+		if !q.sf.admits(c) {
+			s.filtered = true
+			continue
+		}
+		if tc == nil {
+			continue
+		}
+		if k, ok := trialCacheKey(ct, q.f, c, opt); ok {
+			s.key, s.keyOK = k, true
+			if opt.Audit {
+				s.fing, s.hasFing = [2]network.ConeHash{fFing, nw.ConeFingerprint(c.name)}, true
+			}
+		}
+	}
+}
+
+// runSlot is the worker half of slot i: a cache hit (after the Audit
+// collision check) replays the stored result — re-run for real and compared
+// under Audit — and anything else runs planPair and buffers the outcome as
+// the slot's store intent. The cache content runSlot reads is frozen while
+// any slot runs, because stores publish only on the serial side, so the
+// verdict never depends on worker interleaving.
+func (q *trialSeq) runSlot(sc *scratch, nw network.Reader, i int, opt Options, tc *TrialCache) {
+	s := &q.slots[i]
+	if s.filtered {
+		return
+	}
+	c := q.cands[i]
+	if s.keyOK {
+		if e, hit := tc.lookup(s.key); hit {
+			if s.hasFing && e.hasFing && e.fing != s.fing {
+				s.collided = true // fall through to a real trial
+			} else if p, pOK, usable := e.replay(nw, q.f, c.name, opt.NoOverlay); usable {
+				if opt.Audit {
+					auditCachedHit(sc, nw, q.f, c, opt, p, pOK)
+				}
+				s.p, s.ok, s.cached = p, pOK, true
+				return
+			}
+		}
+	}
+	s.p, s.ok = planPair(sc, nw, q.f, c, opt)
+	s.store = s.keyOK
+}
+
+// publish memoizes the buffered store intents in slot order (there are
+// none while the cache is off). Entry data is deep-copied by store, so it
+// must run before any slot's plan commits.
+func (q *trialSeq) publish(tc *TrialCache) {
+	for i := range q.slots {
+		if s := &q.slots[i]; s.store {
+			tc.store(s.key, s.p, s.ok, s.fing, s.hasFing)
+			s.store = false
+		}
+	}
+}
+
+// evaluator runs trial sequences over a bounded worker pool. Each worker
+// owns one scratch arena for its lifetime; results land in slots indexed by
+// candidate position, so the reducer sees them in deterministic order
 // regardless of completion order.
 type evaluator struct {
 	workers   int
@@ -446,119 +554,79 @@ func newEvaluator(workers int) *evaluator {
 	return ev
 }
 
-// plans evaluates every candidate in cands against nw and returns the
-// results in candidate order. The simulation-signature prefilter (sf, nil =
-// off) runs first, serially: candidates it rejects are marked filtered and
-// never reach planPair, so they skip the trial clone, the netlist build and
-// the implication engine. The trial memoization cache (tc, nil = off)
-// consults next, also serially: an admitted candidate whose fingerprint
-// hits replays the stored result without a trial; misses remember their key
-// so the worker that runs the trial can store the outcome. With one worker
-// (or one surviving candidate) the evaluation is inlined — no goroutines,
-// identical to the historical serial driver including allocation behavior.
-// plans takes the live network concretely (not as a Reader): the trial
-// cache key derivation and the audit fingerprints both need the cone
-// machinery only *Network carries, and every caller holds the live network.
-func (ev *evaluator) plans(nw *network.Network, f string, cands []candidate, opt Options, sf *simSigFilter, tc *TrialCache) []planResult {
+// plans evaluates one wave of candidates against nw and returns their slots
+// in candidate order: prepare serially, run the admitted slots on the pool,
+// then publish the wave's stores — so the next wave's lookups see them.
+// Filtered candidates never reach the pool, so a wave with at most one
+// admitted candidate runs inline.
+func (ev *evaluator) plans(nw *network.Network, f string, cands []candidate, opt Options, sf *simSigFilter, tc *TrialCache) []trialSlot {
+	q := newTrialSeq(f, cands, sf)
+	q.prepare(nw, opt, tc)
+	todo := make([]int, 0, len(cands))
+	for i := range q.slots {
+		if !q.slots[i].filtered {
+			todo = append(todo, i)
+		}
+	}
+	ev.pool(nw, len(todo), func(sc *scratch, k int) {
+		q.runSlot(sc, nw, todo[k], opt, tc)
+	}, func(k int) (string, string) {
+		return f, cands[todo[k]].name
+	})
+	q.publish(tc)
+	return q.slots
+}
+
+// pool is the engine's one worker pool: it runs task(sc, i) for i in
+// [0, n) on up to ev.workers goroutines, each owning one scratch, or inline
+// on the first scratch when there is one worker or at most one task. Tasks
+// are handed out in index order. A panicking task is recovered and its
+// worker stops; once every worker has finished, the panic with the lowest
+// task index is re-raised on the calling goroutine, attributed to the
+// (dividend, divisor) pair where names. Every task below a panicking one
+// was already handed out, so that choice does not depend on interleaving.
+func (ev *evaluator) pool(nw *network.Network, n int, task func(sc *scratch, i int), where func(i int) (f, d string)) {
 	ix := ev.index(nw)
 	for _, sc := range ev.scratches {
 		sc.epoch = ev.epoch
 		sc.epochIdx = ix
 	}
-	res := make([]planResult, len(cands))
-	todo := make([]int, 0, len(cands))
-	var keys []trialKey
-	var keyOK []bool
-	if tc != nil {
-		keys = make([]trialKey, len(cands))
-		keyOK = make([]bool, len(cands))
-	}
-	// Under Options.Audit every cache hit is collision-checked against an
-	// independently seeded structural fingerprint of the two cones (see
-	// network.ConeFingerprint): a 128-bit cache-key collision would replay
-	// the wrong verdict, and the byte-level auditCachedHit replay below
-	// would then panic on an honest hash accident. The fingerprint check
-	// runs first and degrades a mismatch to a real trial instead.
-	var fings [][2]network.ConeHash
-	var fingOK []bool
-	var fFing network.ConeHash
-	auditFing := tc != nil && opt.Audit
-	if auditFing {
-		fings = make([][2]network.ConeHash, len(cands))
-		fingOK = make([]bool, len(cands))
-		fFing = nw.ConeFingerprint(f)
-	}
-	ct := nw.Cones()
-	for i, c := range cands {
-		if !sf.admits(c) {
-			res[i].filtered = true
-			continue
-		}
-		if tc != nil {
-			if k, ok := trialCacheKey(ct, f, c, opt); ok {
-				if auditFing {
-					fings[i] = [2]network.ConeHash{fFing, nw.ConeFingerprint(c.name)}
-					fingOK[i] = true
-				}
-				if e, hit := tc.lookup(k); hit {
-					if fingOK != nil && fingOK[i] && e.hasFing && e.fing != fings[i] {
-						res[i].collided = true // fall through to a real trial
-					} else if p, pOK, usable := e.replay(nw, f, c.name, opt.NoOverlay); usable {
-						if opt.Audit {
-							auditCachedHit(ev.scratches[0], nw, f, c, opt, p, pOK)
-						}
-						res[i].p, res[i].ok, res[i].cached = p, pOK, true
-						continue
-					}
-				}
-				keys[i], keyOK[i] = k, true
-			}
-		}
-		todo = append(todo, i)
-	}
-	// runOne evaluates slot i for real and memoizes the outcome under the
-	// key computed (serially, against the pre-wave state) above. Entry data
-	// is deep-copied by store, so concurrent stores from workers only
-	// contend on the shard mutex.
-	runOne := func(sc *scratch, i int) {
-		res[i].p, res[i].ok = planPair(sc, nw, f, cands[i], opt)
-		if tc != nil && keyOK[i] {
-			var fg [2]network.ConeHash
-			hasFg := fingOK != nil && fingOK[i]
-			if hasFg {
-				fg = fings[i]
-			}
-			tc.store(keys[i], res[i].p, res[i].ok, fg, hasFg)
-		}
-	}
-	if ev.workers == 1 || len(todo) <= 1 {
-		for _, i := range todo {
-			runOne(ev.scratches[0], i)
-		}
-		return res
-	}
-	n := ev.workers
-	if n > len(todo) {
-		n = len(todo)
-	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		//bdslint:ignore spawn this IS the bounded worker pool the spawn rule points engine code at
-		go func(sc *scratch) {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(todo) {
-					return
+	var mu sync.Mutex
+	failed, failure := -1, any(nil)
+	work := func(sc *scratch) {
+		i := -1
+		defer func() {
+			if rec := recover(); rec != nil {
+				mu.Lock()
+				if failed < 0 || i < failed {
+					failed, failure = i, rec
 				}
-				runOne(sc, todo[k])
+				mu.Unlock()
 			}
-		}(ev.scratches[w])
+		}()
+		for i = int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			task(sc, i)
+		}
 	}
-	wg.Wait()
-	return res
+	if w := min(ev.workers, n); w <= 1 {
+		work(ev.scratches[0])
+	} else {
+		var wg sync.WaitGroup
+		for _, sc := range ev.scratches[:w] {
+			wg.Add(1)
+			//bdslint:ignore spawn this IS the bounded worker pool the spawn rule points engine code at
+			go func(sc *scratch) {
+				defer wg.Done()
+				work(sc)
+			}(sc)
+		}
+		wg.Wait()
+	}
+	if failed >= 0 {
+		f, d := where(failed)
+		panic(fmt.Sprintf("core: worker panic f=%s d=%s: %v", f, d, failure))
+	}
 }
 
 // commit applies a plan through commitPlan, bumping the epoch first so every

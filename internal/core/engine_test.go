@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -140,5 +141,31 @@ func TestSubstituteObservabilityCounters(t *testing.T) {
 	}
 	if st.SigCacheHits+st.SigCacheMisses == 0 {
 		t.Errorf("no signature cache traffic recorded: %+v", st)
+	}
+}
+
+// TestPoolReraisesLowestPanic pins the worker pool's panic contract: every
+// task panic is recovered (inline at one worker, inside the goroutines
+// above it), and after the pool drains the panic with the lowest task index
+// is re-raised on the caller with its (dividend, divisor) attribution — the
+// same message at every worker count.
+func TestPoolReraisesLowestPanic(t *testing.T) {
+	const want = "core: worker panic f=f3 d=d3: boom 3"
+	for _, w := range []int{1, 2, 4} {
+		got := func() (msg string) {
+			defer func() { msg, _ = recover().(string) }()
+			ev := newEvaluator(w)
+			ev.pool(network.New("t"), 8, func(_ *scratch, i int) {
+				if i == 3 || i == 5 || i == 6 {
+					panic(fmt.Sprintf("boom %d", i))
+				}
+			}, func(i int) (string, string) {
+				return fmt.Sprintf("f%d", i), fmt.Sprintf("d%d", i)
+			})
+			return ""
+		}()
+		if got != want {
+			t.Errorf("workers %d: panic %q, want %q", w, got, want)
+		}
 	}
 }

@@ -45,9 +45,10 @@ type Options struct {
 	// the network's logic depth beyond the budget — the delay-aware mode
 	// (substitution reuses deep signals and can otherwise lengthen paths).
 	DepthBudget int
-	// Workers bounds the planner worker pool: divisor trials for a node are
-	// evaluated by up to this many goroutines against a read-only view of
-	// the network, then committed serially in deterministic order (0 =
+	// Workers bounds the planner worker pool: divisor trials (a wave of one
+	// node's candidates, or a batch of nodes' trial sequences) are evaluated
+	// by up to this many goroutines against a read-only view of the
+	// network, then committed serially in deterministic order (0 =
 	// GOMAXPROCS). The committed network is bit-identical at any worker
 	// count; only wall time changes.
 	Workers int
@@ -239,11 +240,18 @@ func (s *Stats) CacheHitRate() float64 {
 // literal gain is committed. Passes repeat until a fixed point (bounded by
 // MaxPasses).
 //
-// Trials are evaluated by the plan/commit engine (see engine.go): waves of
-// up to Options.Workers candidate divisions are planned concurrently
-// against a read-only view, then reduced in candidate order and committed
-// serially, so the result is identical to the serial schedule at any
-// worker count.
+// Trials are evaluated by the plan/commit engine (see engine.go). Every
+// candidate goes through one trial sequence: the serial side prepares its
+// filter verdict and cache key, a worker replays a cache hit or runs the
+// real trial against a read-only view, and the serial side publishes the
+// cache stores. Two schedules drive that sequence through one bounded
+// worker pool. The batch scheduler (batch.go) runs whole trial sequences of
+// cone-disjoint dividends in parallel and commits the survivors in a serial
+// sweep. Otherwise the wave reducer plans waves of up to Options.Workers
+// candidates of one dividend concurrently and reduces each wave in
+// candidate order. Commits are always serial, so the result is identical
+// to the serial schedule at any worker count. A panic inside a trial is
+// re-raised on the calling goroutine, naming its dividend and divisor.
 func Substitute(nw *network.Network, opt Options) Stats {
 	maxPasses := opt.MaxPasses
 	if maxPasses == 0 {
@@ -395,6 +403,16 @@ func (r *run) commit(p plan, opt Options) bool {
 	return ok
 }
 
+// candidates lists f's divisor candidates in trial order, capped at
+// Options.MaxDivisorTrials.
+func (r *run) candidates(f string) []candidate {
+	cands := candidateDivisors(r.nw, r.sigs, r.cc, f, r.opt, r.ev.index(r.nw))
+	if len(cands) > r.maxTrials {
+		cands = cands[:r.maxTrials]
+	}
+	return cands
+}
+
 // substituteNode runs the full serial trial-and-commit sequence for one
 // dividend — the historical per-node schedule — and reports whether a plan
 // committed. The serial driver calls it for every node; the batch
@@ -407,10 +425,7 @@ func (r *run) substituteNode(id network.SigID) bool {
 		return false
 	}
 	f := fn.Name
-	cands := candidateDivisors(nw, r.sigs, r.cc, f, opt, ev.index(nw))
-	if len(cands) > r.maxTrials {
-		cands = cands[:r.maxTrials]
-	}
+	cands := r.candidates(f)
 	// The candidate list above is fixed before filtering: the
 	// signature prefilter only short-circuits trials inside it (it
 	// never reorders or reveals extra candidates), which is what
@@ -506,8 +521,9 @@ func (r *run) substituteNode(id network.SigID) bool {
 // the cache is active.
 //
 //bdslint:hotpath
-func tallySigFilter(st *Stats, results []planResult, sf *simSigFilter, cacheOn bool) {
-	for _, r := range results {
+func tallySigFilter(st *Stats, results []trialSlot, sf *simSigFilter, cacheOn bool) {
+	for i := range results {
+		r := &results[i]
 		if r.filtered {
 			st.SigFilterReject++
 			continue

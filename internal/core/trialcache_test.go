@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -122,11 +123,33 @@ func TestTrialCacheSecondRunHitRate(t *testing.T) {
 // tripwire: a deliberately corrupted cache entry (a stale gain, exactly
 // what a missed invalidation would produce) is caught on the next hit with
 // a "trial cache audit" panic instead of silently committing a wrong plan.
+// The panic must reach the caller the same way at every worker count: from
+// the inline path at Workers 1 and from the worker pool's goroutines (phase
+// B members, wave slots) above it, with an identical message — the pool
+// re-raises the lowest-index panic, so which trial trips the audit does not
+// depend on worker interleaving.
 func TestTrialCacheAuditCatchesCorruption(t *testing.T) {
+	msgs := map[int]string{}
+	for _, w := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			msgs[w] = auditCorruptionPanic(t, w)
+		})
+	}
+	for w, msg := range msgs {
+		if msg != msgs[1] {
+			t.Errorf("Workers %d panic %q differs from Workers 1 panic %q", w, msg, msgs[1])
+		}
+	}
+}
+
+// auditCorruptionPanic populates a trial cache, corrupts its positive
+// entries, and returns the audit panic message of the next run at the given
+// worker count.
+func auditCorruptionPanic(t *testing.T, workers int) (msg string) {
 	r := rand.New(rand.NewSource(2468))
 	base := randomDAG(r, 5, 10)
 	tc := NewTrialCache()
-	opt := Options{Config: Extended, POS: true, TrialCache: tc, MaxPasses: 1}
+	opt := Options{Config: Extended, POS: true, TrialCache: tc, MaxPasses: 1, Workers: workers}
 	if st := Substitute(base.Clone(), opt); st.CacheMisses == 0 {
 		t.Fatal("populating run recorded no trials")
 	}
@@ -153,12 +176,14 @@ func TestTrialCacheAuditCatchesCorruption(t *testing.T) {
 		if rec == nil {
 			t.Fatal("corrupted cache entry was replayed without tripping the audit")
 		}
-		msg, ok := rec.(string)
+		var ok bool
+		msg, ok = rec.(string)
 		if !ok || !strings.Contains(msg, "trial cache audit") {
 			t.Fatalf("unexpected panic: %v", rec)
 		}
 	}()
 	Substitute(base.Clone(), opt)
+	return ""
 }
 
 // TestTrialCacheAuditFingerprintCollision drives the structural-fingerprint
