@@ -30,6 +30,10 @@ go vet -vettool=/tmp/bdslint.ci ./internal/core
 echo "bdslint ignore report:" && cat /tmp/bdslint_ignores.json
 
 go test ./...
+# The end-to-end benchmark (perfbench/, its own module) carries the
+# checker and metric-name tests BENCHMARK.json relies on; `./...` from the
+# root does not descend into another module, so run them explicitly.
+(cd perfbench && go test .)
 # The engine's schedules depend on the worker count, which defaults to
 # GOMAXPROCS: run the core tests at 1, 2 and 4 so the gate does not depend
 # on the host's core count.

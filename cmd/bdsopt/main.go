@@ -37,7 +37,7 @@ func main() {
 	doVerify := flag.Bool("verify", false, "equivalence-check the result against the input")
 	quiet := flag.Bool("q", false, "suppress BLIF output, print statistics only")
 	redund := flag.Bool("redund", false, "finish with whole-network redundancy removal")
-	workers := flag.Int("j", 0, "substitution planner workers (0 = GOMAXPROCS); results identical at any value")
+	workers := flag.Int("j", 0, "RAR substitution planner workers (0 = GOMAXPROCS; SIS resub runs serially); results identical at any value")
 	noCache := flag.Bool("nocache", false, "disable the trial memoization cache (identical results, every trial runs for real)")
 	prof := cliutil.ProfileFlags()
 	flag.Parse()
@@ -137,7 +137,7 @@ func resubFor(alg string, workers int, noCache bool) script.Resub {
 	}
 	switch alg {
 	case "sis":
-		return script.ResubSISJ(workers)
+		return script.ResubSIS
 	case "basic":
 		return rar(core.Basic)
 	case "ext":

@@ -38,7 +38,7 @@ func main() {
 	algs := flag.String("algs", "", "comma-separated algorithm subset (default: "+strings.Join(exp.Algorithms, ",")+")")
 	list := flag.Bool("list", false, "list benchmark names and exit")
 	asJSON := flag.Bool("json", false, "emit results as JSON instead of tables")
-	workers := flag.Int("j", 0, "substitution planner workers (0 = GOMAXPROCS); results identical at any value")
+	workers := flag.Int("j", 0, "RAR substitution planner workers (0 = GOMAXPROCS; SIS resub runs serially); results identical at any value")
 	verbose := flag.Bool("v", false, "print substitution engine counters (trials, filter rejections, cache hits, pass times)")
 	noSigFilter := flag.Bool("nosigfilter", false, "disable the simulation-signature divisor prefilter (identical results, more trials)")
 	noCache := flag.Bool("nocache", false, "disable the trial memoization cache (identical results, every trial runs for real)")

@@ -42,13 +42,13 @@ type shell struct {
 	ref     *network.Network // checkpoint for verify/revert
 	out     *os.File
 	errf    func(format string, args ...any)
-	workers int  // planner pool bound for resub (0 = GOMAXPROCS)
+	workers int  // planner pool bound for RAR resub (0 = GOMAXPROCS)
 	noCache bool // disable the trial memoization cache in resub
 }
 
 func main() {
 	cmds := flag.String("c", "", "semicolon-separated commands to run non-interactively")
-	workers := flag.Int("j", 0, "substitution planner workers (0 = GOMAXPROCS); results identical at any value")
+	workers := flag.Int("j", 0, "RAR substitution planner workers (0 = GOMAXPROCS; SIS resub runs serially); results identical at any value")
 	noCache := flag.Bool("nocache", false, "disable the trial memoization cache (identical results, every trial runs for real)")
 	prof := cliutil.ProfileFlags()
 	flag.Parse()
@@ -251,7 +251,7 @@ func (sh *shell) exec(line string) bool {
 		}
 		switch alg {
 		case "sis":
-			fmt.Fprintf(sh.out, "%d substitutions\n", opt.ResubAlgebraicJ(sh.nw, true, sh.workers))
+			fmt.Fprintf(sh.out, "%d substitutions\n", opt.ResubAlgebraic(sh.nw, true))
 		case "bdd":
 			fmt.Fprintf(sh.out, "%d substitutions\n", opt.ResubBDD(sh.nw))
 		case "basic", "ext", "extgdc":

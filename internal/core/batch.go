@@ -128,13 +128,9 @@ type batchMember struct {
 	side  []network.SigID // non-PI fanins of TFO nodes (rule E3)
 
 	// Phase-B results.
-	cur      int  // slot in progress (len(cands) = the pooled attempt), for panic attribution
-	consumed int  // slots the serial schedule would have evaluated
-	planIdx  int  // first-positive (or best-gain) slot; -1 = none
-	pooled   bool // plan came from the pooled fallback
-	plan     plan
-	hasPlan  bool
-	spec     int // speculative trial verdicts produced (incl. cache replays)
+	plan    plan
+	hasPlan bool
+	spec    int // speculative trial verdicts produced (incl. cache replays)
 }
 
 // batchObserver, when set (tests only), receives every multi-member batch
@@ -314,59 +310,31 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) (*batc
 		m.candIDs[ci], _ = nw.IDOf(c.name)
 	}
 	m.trialSeq = newTrialSeq(f, cands, sf)
-	m.prepare(nw, opt, r.tc)
+	m.prepare(nw, opt, r.tc, 0, len(cands))
 	return m, true
 }
 
-// runMember executes member m's whole trial sequence against the frozen
-// batch-start network on one worker: the wave's slot function at candidate
-// granularity, with first-positive early exit (or a full scan plus
-// best-gain selection under Options.BestGain) and the pooled fallback
-// inline.
+// runMember runs member m's trial sequence through the shared driver
+// against the frozen batch-start network on one worker, one slot at a time.
+// Its accept only records the plan: the sweep commits it.
 func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 	r := s.r
-	nw := r.nw
-	opt := r.opt
-	m.planIdx = -1
-	runTrial := func(i int) {
-		m.cur = i
-		m.runSlot(sc, nw, i, opt, r.tc)
-	}
-
-	if opt.BestGain {
-		for i := range m.cands {
-			runTrial(i)
+	m.hasPlan = m.drive(sc, r.nw, r.opt, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			m.cur = i
+			m.runSlot(sc, r.nw, i, r.opt, r.tc)
 		}
-		m.consumed = len(m.cands)
-		for i, res := range m.slots {
-			if res.ok && res.p.gain > 0 &&
-				(m.planIdx < 0 || res.p.gain > m.slots[m.planIdx].p.gain) {
-				m.planIdx = i // strict > keeps the earliest slot on ties
-			}
-		}
-	} else {
-		for i := range m.cands {
-			runTrial(i)
-			m.consumed = i + 1
-			if m.slots[i].ok && m.slots[i].p.gain > 0 {
-				m.planIdx = i
-				break // paper: take the first positive-gain division
-			}
-		}
-	}
-	if m.planIdx >= 0 {
-		m.plan, m.hasPlan = m.slots[m.planIdx].p, true
-	} else if opt.Pool && opt.Config != Basic {
-		m.cur = len(m.cands)
-		if p, ok := planPooled(sc, nw, m.f, m.cands, opt); ok {
-			m.plan, m.hasPlan, m.pooled = p, true, true
-		}
-		m.spec++ // the pooled attempt is speculation too
-	}
-	for i := 0; i < m.consumed; i++ {
+	}, func(p plan) bool {
+		m.plan = p
+		return true
+	})
+	for i := range m.slots[:m.consumed] {
 		if !m.slots[i].filtered {
 			m.spec++
 		}
+	}
+	if m.cur == len(m.cands) {
+		m.spec++ // the pooled attempt is speculation too
 	}
 }
 
@@ -414,38 +382,25 @@ func (s *batchScheduler) sweep() bool {
 			continue
 		}
 		if !m.hasPlan {
-			s.tally(m)
+			m.tally(r.st, r.tc != nil)
 			continue
 		}
-		if m.pooled {
-			// Pooled plans follow the full candidate scan serially, so the
-			// scan tallies regardless of the commit's fate, and a failed
-			// pooled commit ends the node without a re-run.
-			s.tally(m)
-			poolOpt := r.opt
-			poolOpt.DepthBudget = 0
-			if r.commit(m.plan, poolOpt) {
-				changed = true
-				r.st.BatchCommits++
-				s.committed++
-			} else {
-				r.st.DiscardedPlans++
-			}
-			continue
-		}
-		if r.commit(m.plan, r.opt) {
+		if r.commit(m.plan) {
 			changed = true
 			r.st.BatchCommits++
 			s.committed++
-			s.tally(m)
-		} else {
+			m.tally(r.st, r.tc != nil)
+			continue
+		}
+		r.st.DiscardedPlans++
+		if m.plan.pooled {
+			// A pooled plan follows the full candidate scan, so the scan
+			// stands and a failed pooled commit ends the node.
+			m.tally(r.st, r.tc != nil)
+		} else if r.substituteNode(m.id) {
 			// The serial driver keeps scanning candidates after a failed
-			// commit; re-run the node serially (without tallying the
-			// speculated slots — the re-run tallies its own trials).
-			r.st.DiscardedPlans++
-			if r.substituteNode(m.id) {
-				changed = true
-			}
+			// commit; the serial re-run tallies its own trials.
+			changed = true
 		}
 	}
 	s.sweeping = false
@@ -499,12 +454,6 @@ func planCreatesNames(p *plan) bool {
 		return len(ov.Added()) > 0
 	}
 	return true
-}
-
-// tally folds the member's consumed result slots into the run statistics,
-// exactly as the wave engine tallies each wave.
-func (s *batchScheduler) tally(m *batchMember) {
-	tallySigFilter(s.r.st, m.slots[:m.consumed], m.sf, s.r.tc != nil)
 }
 
 // commitMarks carries one commit's conflict-mark state across the

@@ -20,10 +20,11 @@ import (
 //	            runs on a private clone, and per-worker scratch arenas hold
 //	            all reusable buffers. Plans are therefore evaluable
 //	            concurrently.
-//	reducer   — walks completed plans in the deterministic candidate order
-//	            (the same order the serial driver tries them in) and picks
-//	            which plan to commit, so the result is bit-identical at any
-//	            worker count.
+//	reducer   — trialSeq.drive, the one select-and-commit loop both
+//	            schedules share: walks completed plans in the deterministic
+//	            candidate order (the order a one-worker run tries them in)
+//	            and picks which plan to commit, so the result is
+//	            bit-identical at any worker count.
 //	committer — applies the chosen plan to the live network serially,
 //	            invalidates the pass caches, enforces the depth budget, and
 //	            updates statistics.
@@ -36,7 +37,10 @@ import (
 // serial first-positive rule does, and (b) a depth-rejected commit is
 // undone byte-exactly (the node's previous fanins/cover, or a whole-network
 // snapshot, are restored verbatim), so the state plan k+1 was evaluated
-// against is the state it commits against.
+// against is the state it commits against. (The greedy rule still re-runs
+// the rest of such a wave: the rejected commit leaves the cone table stale
+// for the rest of the dividend, and the re-run sees the cache keys exactly
+// as a one-worker run does, which keeps the trial counters invariant.)
 
 // plan is one evaluated division candidate, as pure data: the gain it
 // achieves and the replacement that realizes it. Exactly one of the two
@@ -51,6 +55,7 @@ type plan struct {
 	pos     bool   // plan is a POS-form substitution
 	dec     bool   // plan decomposes the divisor
 	removed int    // RAR wire removals performed by the division
+	pooled  bool   // plan is a pooled division: exempt from Options.DepthBudget
 
 	// Node-function rewrite (work == nil).
 	newFanins []string
@@ -285,6 +290,7 @@ func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate,
 		gain:    before - after,
 		dec:     dec != nil,
 		removed: res.WiresRemoved,
+		pooled:  true,
 		work:    work,
 		touched: names,
 	}, true
@@ -294,7 +300,13 @@ func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate,
 // network, invalidates the pass caches for every name the plan touches,
 // enforces the depth budget when set (undoing the commit byte-exactly on
 // violation), and updates statistics. Returns whether the plan stuck.
+// Pooled plans historically bypass the depth budget: they only run when
+// nothing else committed.
 func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *sigCache, st *Stats) bool {
+	budget := opt.DepthBudget
+	if p.pooled {
+		budget = 0
+	}
 	invalidate := func() {
 		if p.isNode() {
 			cc.invalidate(nw, p.target)
@@ -332,7 +344,7 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 		// Snapshot for undo only when a depth budget can reject the commit.
 		var oldFanins []string
 		var oldCover cube.Cover
-		if opt.DepthBudget > 0 {
+		if budget > 0 {
 			old := nw.Node(p.target)
 			oldFanins = append([]string(nil), old.Fanins...)
 			oldCover = old.Cover.Clone()
@@ -341,8 +353,8 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 			return false
 		}
 		invalidate()
-		if opt.DepthBudget > 0 {
-			if _, depth := nw.Levels(); depth > opt.DepthBudget {
+		if budget > 0 {
+			if _, depth := nw.Levels(); depth > budget {
 				_ = nw.ReplaceNodeFunction(p.target, oldFanins, oldCover)
 				invalidate()
 				st.DepthRejected++
@@ -351,7 +363,7 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 		}
 	} else {
 		var snapshot *network.Network
-		if opt.DepthBudget > 0 {
+		if budget > 0 {
 			snapshot = nw.Clone()
 		}
 		// An overlay plan commits by applying its recorded delta to the live
@@ -367,8 +379,8 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 			nw.CopyFrom(p.work.(*network.Network))
 		}
 		invalidate()
-		if opt.DepthBudget > 0 {
-			if _, depth := nw.Levels(); depth > opt.DepthBudget {
+		if budget > 0 {
+			if _, depth := nw.Levels(); depth > budget {
 				nw.CopyFrom(snapshot)
 				invalidate()
 				st.DepthRejected++
@@ -435,28 +447,41 @@ type trialSlot struct {
 }
 
 // trialSeq is one dividend's trial sequence: its candidates in trial order
-// and one slot each. Both schedules drive it through the same three steps —
-// prepare (serial), runSlot (on a worker), publish (serial). The wave
-// reducer builds one sequence per wave; the batch scheduler builds one per
-// member, prepared in phase A, run in phase B and published at the member's
-// sweep slot.
+// and one slot each. Both schedules drive it through the same loop (drive)
+// and the same three slot steps — prepare (serial), runSlot (on a worker),
+// publish (serial). The serial driver builds one sequence per dividend and
+// runs it in waves; the batch scheduler builds one per member, prepared in
+// phase A, run in phase B and published at the member's sweep slot.
 type trialSeq struct {
 	f     string
 	cands []candidate
 	sf    *simSigFilter // nil = prefilter off
 	slots []trialSlot
+
+	// consumed is the number of slots a one-worker run evaluates: the
+	// accepted slot + 1, or every slot when nothing commits (or under
+	// BestGain). Only slots[:consumed] are tallied and published.
+	consumed int
+	// tail and tailPlans count the admitted slots a wave ran beyond the
+	// slot it stopped at, and the positive-gain plans among them: wave
+	// speculation, reported as SpeculatedTrials and DiscardedPlans.
+	tail, tailPlans int
+	// cur is the slot in progress on a batch member's worker, for panic
+	// attribution; drive parks it at len(cands) for the pooled attempt.
+	cur int
 }
 
 func newTrialSeq(f string, cands []candidate, sf *simSigFilter) trialSeq {
 	return trialSeq{f: f, cands: cands, sf: sf, slots: make([]trialSlot, len(cands))}
 }
 
-// prepare is the serial half of every slot: the signature-filter verdict
-// (the filter is not thread-safe) and, for admitted candidates while the
-// trial cache is on (tc != nil), the cache key and Audit fingerprint. It
-// takes the live network concretely (not as a Reader): the key derivation
-// and the fingerprints need the cone machinery only *Network carries.
-func (q *trialSeq) prepare(nw *network.Network, opt Options, tc *TrialCache) {
+// prepare is the serial half of slots [lo, hi): the signature-filter
+// verdict (the filter is not thread-safe) and, for admitted candidates
+// while the trial cache is on (tc != nil), the cache key and Audit
+// fingerprint. It takes the live network concretely (not as a Reader): the
+// key derivation and the fingerprints need the cone machinery only
+// *Network carries.
+func (q *trialSeq) prepare(nw *network.Network, opt Options, tc *TrialCache, lo, hi int) {
 	var ct *network.ConeTable
 	var fFing network.ConeHash
 	if tc != nil {
@@ -465,8 +490,10 @@ func (q *trialSeq) prepare(nw *network.Network, opt Options, tc *TrialCache) {
 			fFing = nw.ConeFingerprint(q.f)
 		}
 	}
-	for i, c := range q.cands {
+	for i := lo; i < hi; i++ {
+		c := q.cands[i]
 		s := &q.slots[i]
+		*s = trialSlot{}
 		if !q.sf.admits(c) {
 			s.filtered = true
 			continue
@@ -512,16 +539,130 @@ func (q *trialSeq) runSlot(sc *scratch, nw network.Reader, i int, opt Options, t
 	s.store = s.keyOK
 }
 
-// publish memoizes the buffered store intents in slot order (there are
-// none while the cache is off). Entry data is deep-copied by store, so it
-// must run before any slot's plan commits.
+// publish memoizes the buffered store intents of the consumed slots in slot
+// order (there are none while the cache is off). Entry data is deep-copied
+// by store, so it must run before any slot's plan commits. Stores of slots
+// past consumed are dropped: they are keyed on the dividend's pre-commit
+// cone, so they could never match again.
 func (q *trialSeq) publish(tc *TrialCache) {
-	for i := range q.slots {
+	for i := range q.slots[:q.consumed] {
 		if s := &q.slots[i]; s.store {
 			tc.store(s.key, s.p, s.ok, s.fing, s.hasFing)
 			s.store = false
 		}
 	}
+}
+
+// positive reports whether slot i holds a committable (positive-gain) plan.
+func (q *trialSeq) positive(i int) bool {
+	s := &q.slots[i]
+	return s.ok && s.p.gain > 0
+}
+
+// drive is the one select-and-commit loop every dividend runs through, in
+// both schedules. run executes slots [lo, hi) — a wave on the evaluator's
+// pool in the serial driver, one slot at a time on the member's worker in
+// a batch — and accept tries to commit a plan. Plans are offered under one
+// rule: the first positive-gain slot in slot order (the paper's greedy
+// rule), or, under Options.BestGain, once every slot has run, each
+// positive-gain slot in gain-descending order (ties to the earlier slot).
+// A refused plan (a depth-budget rejection, undone byte-exactly) passes the
+// turn: BestGain offers the next best; the greedy rule resumes at the next
+// slot, re-running the rest of the wave as a one-worker run would. Only
+// when nothing commits is the pooled fallback planned on sc and offered.
+// drive reports whether accept took a plan.
+func (q *trialSeq) drive(sc *scratch, nw network.Reader, opt Options, width int, run func(lo, hi int), accept func(p plan) bool) bool {
+	n := len(q.slots)
+	q.consumed = n
+	if opt.BestGain {
+		run(0, n)
+		order := make([]int, 0, n)
+		for i := range q.slots {
+			if q.positive(i) {
+				order = append(order, i)
+			}
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			return q.slots[order[a]].p.gain > q.slots[order[b]].p.gain
+		})
+		for _, i := range order {
+			if accept(q.slots[i].p) {
+				return true
+			}
+		}
+	} else {
+		for lo := 0; lo < n; {
+			hi := min(lo+width, n)
+			run(lo, hi)
+			next := hi
+			for i := lo; i < hi; i++ {
+				if !q.positive(i) {
+					continue
+				}
+				for j := i + 1; j < hi; j++ {
+					if !q.slots[j].filtered {
+						q.tail++
+						if q.positive(j) {
+							q.tailPlans++
+						}
+					}
+				}
+				q.consumed = i + 1
+				if accept(q.slots[i].p) {
+					return true // paper: take the first positive-gain division
+				}
+				q.consumed, next = n, i+1
+				break
+			}
+			lo = next
+		}
+	}
+	if opt.Pool && opt.Config != Basic {
+		q.cur = n
+		if p, ok := planPooled(sc, nw, q.f, q.cands, opt); ok {
+			return accept(p)
+		}
+	}
+	return false
+}
+
+// tally folds the consumed slots into the statistics: filtered slots count
+// as signature rejections (no exact trial ran); the rest count as divisor
+// trials, and — when the filter was active — as filter passes, with the
+// failed ones among them recorded as false passes. Cached slots are still
+// divisor trials (the verdict was consumed; the sig-filter arithmetic
+// DivisorTrials + SigFilterReject is unchanged by caching) but are
+// additionally tallied as cache hits; the rest count as misses while the
+// cache is active. The wave tail goes to the speculation counters.
+//
+//bdslint:hotpath
+func (q *trialSeq) tally(st *Stats, cacheOn bool) {
+	for i := range q.slots[:q.consumed] {
+		s := &q.slots[i]
+		if s.filtered {
+			st.SigFilterReject++
+			continue
+		}
+		st.DivisorTrials++
+		if cacheOn {
+			if s.cached {
+				st.CacheHits++
+			} else {
+				st.CacheMisses++
+				if s.collided {
+					st.CacheCollisions++
+				}
+			}
+		}
+		if q.sf != nil {
+			st.SigFilterPass++
+			if !q.positive(i) {
+				st.SigFilterFalsePass++
+			}
+		}
+	}
+	st.SpeculatedTrials += q.tail
+	st.DiscardedPlans += q.tailPlans
 }
 
 // evaluator runs trial sequences over a bounded worker pool. Each worker
@@ -554,16 +695,13 @@ func newEvaluator(workers int) *evaluator {
 	return ev
 }
 
-// plans evaluates one wave of candidates against nw and returns their slots
-// in candidate order: prepare serially, run the admitted slots on the pool,
-// then publish the wave's stores — so the next wave's lookups see them.
-// Filtered candidates never reach the pool, so a wave with at most one
-// admitted candidate runs inline.
-func (ev *evaluator) plans(nw *network.Network, f string, cands []candidate, opt Options, sf *simSigFilter, tc *TrialCache) []trialSlot {
-	q := newTrialSeq(f, cands, sf)
-	q.prepare(nw, opt, tc)
-	todo := make([]int, 0, len(cands))
-	for i := range q.slots {
+// wave runs slots [lo, hi) of q as one wave against nw: prepare serially,
+// then run the admitted slots on the pool. Filtered slots never reach the
+// pool, so a wave with at most one admitted slot runs inline.
+func (ev *evaluator) wave(nw *network.Network, q *trialSeq, lo, hi int, opt Options, tc *TrialCache) {
+	q.prepare(nw, opt, tc, lo, hi)
+	todo := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
 		if !q.slots[i].filtered {
 			todo = append(todo, i)
 		}
@@ -571,10 +709,8 @@ func (ev *evaluator) plans(nw *network.Network, f string, cands []candidate, opt
 	ev.pool(nw, len(todo), func(sc *scratch, k int) {
 		q.runSlot(sc, nw, todo[k], opt, tc)
 	}, func(k int) (string, string) {
-		return f, cands[todo[k]].name
+		return q.f, q.cands[todo[k]].name
 	})
-	q.publish(tc)
-	return q.slots
 }
 
 // pool is the engine's one worker pool: it runs task(sc, i) for i in
@@ -588,7 +724,6 @@ func (ev *evaluator) plans(nw *network.Network, f string, cands []candidate, opt
 func (ev *evaluator) pool(nw *network.Network, n int, task func(sc *scratch, i int), where func(i int) (f, d string)) {
 	ix := ev.index(nw)
 	for _, sc := range ev.scratches {
-		sc.epoch = ev.epoch
 		sc.epochIdx = ix
 	}
 	var next atomic.Int64
@@ -629,10 +764,14 @@ func (ev *evaluator) pool(nw *network.Network, n int, task func(sc *scratch, i i
 	}
 }
 
-// commit applies a plan through commitPlan, bumping the epoch first so every
-// scratch's memoized base build of the live network is invalidated before
-// the network can change.
+// commit applies a plan through commitPlan, first bumping the epoch and
+// stamping it into every scratch, so each one's memoized base build of the
+// live network is invalidated before the network can change. No worker runs
+// while the serial side commits, so it may write the scratches here.
 func (ev *evaluator) commit(nw *network.Network, p plan, opt Options, cc *complCache, sigs *sigCache, st *Stats) bool {
 	ev.epoch++
+	for _, sc := range ev.scratches {
+		sc.epoch = ev.epoch
+	}
 	return commitPlan(nw, p, opt, cc, sigs, st)
 }

@@ -44,9 +44,9 @@ type scratch struct {
 	// overlays die and their addresses recycle, but they can never equal the
 	// live network's address while it is pinned.
 	pin network.Reader
-	// epoch is the evaluator's commit epoch as of this wave; sharedFor and
-	// sharedEpoch record which (reader, epoch) sharedBuild was built for. A
-	// commit bumps the evaluator's epoch, so stale base builds are never
+	// epoch is the evaluator's commit epoch, stamped by evaluator.commit;
+	// sharedFor and sharedEpoch record which (reader, epoch) sharedBuild was
+	// built for. A commit bumps the epoch, so stale base builds are never
 	// patched again.
 	epoch       uint64
 	sharedFor   network.Reader

@@ -18,10 +18,10 @@ type Options struct {
 	POS bool
 	// MaxComplementCubes bounds POS complement sizes (0 = default).
 	MaxComplementCubes int
-	// MaxPasses bounds the outer sweeps over the network (0 = 2).
+	// MaxPasses bounds the outer sweeps over the network (<= 0 = 2).
 	MaxPasses int
 	// MaxDivisorTrials caps how many divisors are tried per dividend after
-	// filtering (0 = 32).
+	// filtering (<= 0 = 32).
 	MaxDivisorTrials int
 	// Pool also tries multi-node divisor pooling (Section IV's
 	// generalization) when no single divisor yields a gain. Only used by
@@ -119,9 +119,10 @@ type Stats struct {
 	LitsBefore, LitsAfter int
 	// DivisorTrials counts exact division plans actually evaluated —
 	// candidates the signature prefilter rejected are not included (they are
-	// counted in SigFilterReject). With Workers > 1 the count can exceed a
-	// serial run's: a whole wave of trials is planned before the reducer
-	// knows the first one committed.
+	// counted in SigFilterReject). Like every trial, filter and trial-cache
+	// counter it is the same at any worker count: only the trials a
+	// one-worker run evaluates are tallied (wave trials past the committed
+	// one are SpeculatedTrials).
 	DivisorTrials int
 	// SigFilterReject counts candidates the simulation-signature prefilter
 	// rejected: trials skipped without building a netlist or running
@@ -156,16 +157,20 @@ type Stats struct {
 	// ComplCacheHits/ComplCacheMisses count memoized complement-cover
 	// lookups (POS and complement-phase filtering).
 	ComplCacheHits, ComplCacheMisses int
-	// SpeculatedTrials counts trial verdicts the batch scheduler produced
-	// speculatively: divisor trials (cache replays included) and pooled
-	// trials evaluated against a batch-start snapshot before the sweep
-	// decided whether their dividend's speculation was still valid.
+	// SpeculatedTrials counts trial verdicts produced ahead of the serial
+	// schedule: divisor trials (cache replays included) and pooled trials
+	// the batch scheduler evaluated against a batch-start snapshot before
+	// the sweep decided whether their dividend's speculation was still
+	// valid, and admitted wave slots past the slot the serial driver
+	// stopped at. With the complement-cache counters and PassTimes, the
+	// speculation counters are the only Stats fields that vary with
+	// Workers.
 	SpeculatedTrials int
-	// DiscardedPlans counts accepted plans thrown away unused — their
-	// member was evicted from the sweep (a conflicting earlier commit
-	// invalidated the speculation) or its commit failed. The classic
-	// wasted-speculation number: work that produced a committable plan the
-	// network never saw.
+	// DiscardedPlans counts positive-gain plans thrown away unused — their
+	// batch member was evicted from the sweep (a conflicting earlier commit
+	// invalidated the speculation), its commit failed, or a wave ran them
+	// past the committed slot. The classic wasted-speculation number: work
+	// that produced a committable plan the network never saw.
 	DiscardedPlans int
 	// BatchCommits counts plans committed straight out of a batch sweep
 	// (serial re-run commits after an eviction are ordinary Substitutions
@@ -244,21 +249,22 @@ func (s *Stats) CacheHitRate() float64 {
 // candidate goes through one trial sequence: the serial side prepares its
 // filter verdict and cache key, a worker replays a cache hit or runs the
 // real trial against a read-only view, and the serial side publishes the
-// cache stores. Two schedules drive that sequence through one bounded
-// worker pool. The batch scheduler (batch.go) runs whole trial sequences of
+// cache stores. One select-and-commit loop (trialSeq.drive) picks the plan
+// for every dividend, and two schedules drive it through one bounded worker
+// pool. The batch scheduler (batch.go) runs whole trial sequences of
 // cone-disjoint dividends in parallel and commits the survivors in a serial
-// sweep. Otherwise the wave reducer plans waves of up to Options.Workers
+// sweep. Otherwise the serial driver plans waves of up to Options.Workers
 // candidates of one dividend concurrently and reduces each wave in
 // candidate order. Commits are always serial, so the result is identical
 // to the serial schedule at any worker count. A panic inside a trial is
 // re-raised on the calling goroutine, naming its dividend and divisor.
 func Substitute(nw *network.Network, opt Options) Stats {
 	maxPasses := opt.MaxPasses
-	if maxPasses == 0 {
+	if maxPasses <= 0 {
 		maxPasses = 2
 	}
 	maxTrials := opt.MaxDivisorTrials
-	if maxTrials == 0 {
+	if maxTrials <= 0 {
 		maxTrials = 32
 	}
 	maxCompl := opt.MaxComplementCubes
@@ -390,13 +396,13 @@ type run struct {
 // sets into the scheduler's conflict marks, so eviction checks for later
 // members of the sweep see serial re-run commits too — not only the
 // sweep's own plan commits.
-func (r *run) commit(p plan, opt Options) bool {
+func (r *run) commit(p plan) bool {
 	s := r.sched
 	if s == nil || !s.sweeping {
-		return r.ev.commit(r.nw, p, opt, r.cc, r.sigs, r.st)
+		return r.ev.commit(r.nw, p, r.opt, r.cc, r.sigs, r.st)
 	}
 	pre := s.precommit(&p)
-	ok := r.ev.commit(r.nw, p, opt, r.cc, r.sigs, r.st)
+	ok := r.ev.commit(r.nw, p, r.opt, r.cc, r.sigs, r.st)
 	if ok {
 		s.postcommit(pre)
 	}
@@ -414,12 +420,13 @@ func (r *run) candidates(f string) []candidate {
 }
 
 // substituteNode runs the full serial trial-and-commit sequence for one
-// dividend — the historical per-node schedule — and reports whether a plan
-// committed. The serial driver calls it for every node; the batch
+// dividend — the historical per-node schedule, through the shared driver in
+// waves of Workers slots, committing as it selects — and reports whether a
+// plan committed. The serial driver calls it for every node; the batch
 // scheduler calls it for single-member batches and for members its sweep
 // evicted.
 func (r *run) substituteNode(id network.SigID) bool {
-	nw, opt, ev, st := r.nw, r.opt, r.ev, r.st
+	nw, opt, ev := r.nw, r.opt, r.ev
 	fn := nw.NodeByID(id)
 	if fn == nil || fn.Cover.IsZero() {
 		return false
@@ -436,116 +443,20 @@ func (r *run) substituteNode(id network.SigID) bool {
 			r.sigTab.Refresh()
 		}
 		if r.coneTab != nil {
-			st.CacheInvalidated += r.coneTab.Refresh()
+			r.st.CacheInvalidated += r.coneTab.Refresh()
 		}
 		sf = newSimSigFilter(nw, f, r.cc, opt)
 	}
-	changed := false
-	committed := false
-	if opt.BestGain {
-		// Evaluate every candidate and commit the best gain (ties
-		// broken toward the earliest candidate, like the serial scan).
-		// When a commit is depth-rejected the next-best positive-gain
-		// plan is tried — the rejection was undone byte-exactly, so
-		// every other plan of the batch is still valid, and
-		// abandoning the node outright would make BestGain strictly
-		// weaker than the greedy rule under a DepthBudget.
-		results := ev.plans(nw, f, cands, opt, sf, r.tc)
-		tallySigFilter(st, results, sf, r.tc != nil)
-		order := make([]int, 0, len(results))
-		for i, res := range results {
-			if res.ok && res.p.gain > 0 {
-				order = append(order, i)
-			}
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return results[order[a]].p.gain > results[order[b]].p.gain
-		})
-		for _, i := range order {
-			if r.commit(results[i].p, opt) {
-				changed = true
-				committed = true
-				break
-			}
-		}
-	} else {
-		// First-positive-gain rule, in waves of one planner batch:
-		// the reducer walks each wave in candidate order and commits
-		// the first positive-gain plan, exactly like the serial scan
-		// (with Workers=1 the wave size is 1 and the schedule is the
-		// historical one, trial for trial).
-		wave := ev.workers
-		for start := 0; start < len(cands) && !committed; start += wave {
-			end := start + wave
-			if end > len(cands) {
-				end = len(cands)
-			}
-			results := ev.plans(nw, f, cands[start:end], opt, sf, r.tc)
-			tallySigFilter(st, results, sf, r.tc != nil)
-			for _, res := range results {
-				if !res.ok || res.p.gain <= 0 {
-					continue
-				}
-				if r.commit(res.p, opt) {
-					changed = true
-					committed = true
-					break // paper: take the first positive-gain division
-				}
-				// Depth-rejected commit was undone byte-exactly;
-				// the remaining plans of the wave are still valid.
-			}
-		}
-	}
-	if !committed && opt.Pool && opt.Config != Basic {
-		ev.scratches[0].epoch = ev.epoch
-		if p, ok := planPooled(ev.scratches[0], nw, f, cands, opt); ok {
-			// Pooled divisions historically bypass the depth budget:
-			// they only run when nothing else committed.
-			poolOpt := opt
-			poolOpt.DepthBudget = 0
-			if r.commit(p, poolOpt) {
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// tallySigFilter folds one planner batch into the statistics: filtered
-// slots count as signature rejections (no exact trial ran); the rest count
-// as divisor trials, and — when the filter was active — as filter passes,
-// with the failed ones among them recorded as false passes. Cached slots
-// are still divisor trials (the verdict was consumed; the sig-filter
-// arithmetic DivisorTrials + SigFilterReject is unchanged by caching) but
-// are additionally tallied as cache hits; the rest count as misses while
-// the cache is active.
-//
-//bdslint:hotpath
-func tallySigFilter(st *Stats, results []trialSlot, sf *simSigFilter, cacheOn bool) {
-	for i := range results {
-		r := &results[i]
-		if r.filtered {
-			st.SigFilterReject++
-			continue
-		}
-		st.DivisorTrials++
-		if cacheOn {
-			if r.cached {
-				st.CacheHits++
-			} else {
-				st.CacheMisses++
-				if r.collided {
-					st.CacheCollisions++
-				}
-			}
-		}
-		if sf != nil {
-			st.SigFilterPass++
-			if !r.ok || r.p.gain <= 0 {
-				st.SigFilterFalsePass++
-			}
-		}
-	}
+	q := newTrialSeq(f, cands, sf)
+	committed := q.drive(ev.scratches[0], nw, opt, ev.workers, func(lo, hi int) {
+		ev.wave(nw, &q, lo, hi, opt, r.tc)
+	}, func(p plan) bool {
+		q.publish(r.tc)
+		return r.commit(p)
+	})
+	q.publish(r.tc)
+	q.tally(r.st, r.tc != nil)
+	return committed
 }
 
 // candidate pairs a divisor node with the form that passed the structural
@@ -840,16 +751,4 @@ func commitNode(nw *network.Network, f string, fanins []string, cover cube.Cover
 	}
 	nw.NormalizeNode(f)
 	return true
-}
-
-// tryPair plans one candidate and commits it when the gain is positive
-// (the paper's first-positive-gain rule), serially. Kept as the one-shot
-// entry the tests exercise; Substitute drives planPair/commitPlan through
-// the evaluator instead.
-func tryPair(nw *network.Network, f string, cand candidate, opt Options, cc *complCache, sigs *sigCache, st *Stats) bool {
-	p, ok := planPair(newScratch(), nw, f, cand, opt)
-	if !ok || p.gain <= 0 {
-		return false
-	}
-	return commitPlan(nw, p, opt, cc, sigs, st)
 }

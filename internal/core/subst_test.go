@@ -92,15 +92,17 @@ func TestSubstitutePOSCandidateOfferedAndCommitSound(t *testing.T) {
 }
 
 func TestSubstitutePOSOnlyPath(t *testing.T) {
-	// Force the POS path by running tryPair with pos=true directly on the
+	// Force the POS path by planning the pos=true candidate directly on the
 	// product-form network; the commit must be sound and use the divisor.
 	nw := posNetwork()
 	ref := nw.Clone()
 	cc := newComplCache(DefaultMaxComplementCubes)
 	sigs := newSigCache(nw)
 	var st Stats
-	if !tryPair(nw, "f", candidate{name: "d0", pos: true}, Options{Config: Basic, POS: true}, cc, sigs, &st) {
-		t.Fatal("POS tryPair did not commit")
+	opt := Options{Config: Basic, POS: true}
+	p, ok := planPair(newScratch(), nw, "f", candidate{name: "d0", pos: true}, opt)
+	if !ok || p.gain <= 0 || !commitPlan(nw, p, opt, cc, sigs, &st) {
+		t.Fatal("POS plan did not commit")
 	}
 	if st.POSSubstitutions != 1 {
 		t.Errorf("stats = %+v", st)
@@ -153,17 +155,42 @@ func TestSubstituteStatsConsistent(t *testing.T) {
 
 func TestPropSubstituteSoundAllConfigs(t *testing.T) {
 	r := rand.New(rand.NewSource(46))
+	rows := []struct {
+		name string
+		opt  Options
+		// def, when set, is the option set opt must behave exactly like:
+		// a non-positive cap selects its default.
+		def *Options
+	}{
+		{name: "basic", opt: Options{Config: Basic, POS: true, MaxPasses: 1}},
+		{name: "ext", opt: Options{Config: Extended, POS: true, MaxPasses: 1}},
+		{name: "extgdc", opt: Options{Config: ExtendedGDC, POS: true, MaxPasses: 1}},
+		{name: "trials<0", opt: Options{Config: Basic, POS: true, MaxPasses: 1, MaxDivisorTrials: -1},
+			def: &Options{Config: Basic, POS: true, MaxPasses: 1}},
+		{name: "passes<0", opt: Options{Config: Basic, POS: true, MaxPasses: -1},
+			def: &Options{Config: Basic, POS: true}},
+	}
 	for trial := 0; trial < 12; trial++ {
 		base := randomDAG(r, 4, 6)
-		for _, cfg := range []Config{Basic, Extended, ExtendedGDC} {
+		for _, row := range rows {
 			nw := base.Clone()
-			st := Substitute(nw, Options{Config: cfg, POS: true, MaxPasses: 1})
+			st := Substitute(nw, row.opt)
 			if !verify.Equivalent(base, nw) {
-				t.Fatalf("trial %d cfg %v: substitution broke equivalence (stats %+v)\nbefore: %safter: %s",
-					trial, cfg, st, base.String(), nw.String())
+				t.Fatalf("trial %d %s: substitution broke equivalence (stats %+v)\nbefore: %safter: %s",
+					trial, row.name, st, base.String(), nw.String())
 			}
 			if st.LitsAfter > st.LitsBefore {
-				t.Errorf("trial %d cfg %v: literals grew %d → %d", trial, cfg, st.LitsBefore, st.LitsAfter)
+				t.Errorf("trial %d %s: literals grew %d → %d", trial, row.name, st.LitsBefore, st.LitsAfter)
+			}
+			if st.Passes < 1 {
+				t.Errorf("trial %d %s: ran %d passes", trial, row.name, st.Passes)
+			}
+			if row.def != nil {
+				want := base.Clone()
+				Substitute(want, *row.def)
+				if nw.String() != want.String() {
+					t.Errorf("trial %d %s: result differs from the default options'", trial, row.name)
+				}
 			}
 		}
 	}

@@ -52,11 +52,12 @@ import (
 // Concurrency. Key derivation runs on the serial side (trialSeq.prepare).
 // Lookups and replays run in the worker slot function (trialSeq.runSlot),
 // behind per-shard mutexes. Stores are buffered per slot and published by
-// the serial side (trialSeq.publish): after each wave, or at a batch
-// member's sweep slot. The content every slot reads is therefore frozen
-// while any slot runs, and stores land in slot order. Entries are immutable
-// after store, and replay clones everything it hands out, so
-// `go test -race` stays quiet at any worker count.
+// the serial side (trialSeq.publish), only for the slots a one-worker run
+// evaluates: before each commit attempt and when the serial driver's
+// sequence ends, or at a batch member's sweep slot. The content every slot
+// reads is therefore frozen while any slot runs, and stores land in slot
+// order. Entries are immutable after store, and replay clones everything
+// it hands out, so `go test -race` stays quiet at any worker count.
 
 // trialShards is the shard count of the cache map (power of two).
 const trialShards = 16

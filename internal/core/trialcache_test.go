@@ -17,6 +17,11 @@ import (
 // statistics (gains, substitutions, trial counts). Only the cache's own
 // counters may differ. Audit is on throughout, so every hit is additionally
 // re-run for real and compared byte-for-byte inside the engine.
+//
+// Within one batch mode the statistics are also worker-invariant: every
+// trial, filter and trial-cache counter matches across the worker axis;
+// only wall time, the complement-cache counters and the speculation
+// counters (SpeculatedTrials, DiscardedPlans) may move with Workers.
 func TestSubstituteTrialCacheInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(97531))
 	workerSet := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -32,6 +37,7 @@ func TestSubstituteTrialCacheInvariant(t *testing.T) {
 		// field-for-field stats comparison below stays within one mode.
 		wantBLIF := ""
 		for _, noBatch := range []bool{false, true} {
+			var wantOn, wantOff *Stats
 			for _, workers := range workerSet {
 				opt := Options{
 					Config:    cfg,
@@ -74,6 +80,19 @@ func TestSubstituteTrialCacheInvariant(t *testing.T) {
 					t.Errorf("%s cfg %v workers %d: hits+misses = %d, trials = %d", label, cfg, workers, got, want)
 				}
 				totalHits += stOn.CacheHits
+				for _, c := range []struct {
+					label string
+					st    Stats
+					want  **Stats
+				}{{"on", stOn, &wantOn}, {"off", stOff, &wantOff}} {
+					norm := workerNormalized(c.st)
+					if *c.want == nil {
+						*c.want = &norm
+					} else if !reflect.DeepEqual(norm, **c.want) {
+						t.Errorf("%s cfg %v batch=%v cache %s: stats moved with workers (%d vs %d):\ngot  %+v\nwant %+v",
+							label, cfg, !noBatch, c.label, workers, workerSet[0], norm, **c.want)
+					}
+				}
 			}
 		}
 	}
@@ -87,6 +106,17 @@ func TestSubstituteTrialCacheInvariant(t *testing.T) {
 	if totalHits == 0 {
 		t.Error("cache never hit across the whole sweep — memoization is dead")
 	}
+}
+
+// workerNormalized zeroes the Stats fields allowed to differ across worker
+// counts: wall time, the complement-cache counters (the wave's filter
+// probes warm it ahead of the serial schedule) and the speculation
+// counters.
+func workerNormalized(st Stats) Stats {
+	st.PassTimes = nil
+	st.ComplCacheHits, st.ComplCacheMisses = 0, 0
+	st.SpeculatedTrials, st.DiscardedPlans = 0, 0
+	return st
 }
 
 // TestTrialCacheSecondRunHitRate drives the cross-run sharing mode: a

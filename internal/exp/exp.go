@@ -44,8 +44,9 @@ type Cell struct {
 
 // RunOptions tune a table reproduction without changing its results.
 type RunOptions struct {
-	// Workers is threaded to core.Options.Workers for every substitution
-	// run (0 = GOMAXPROCS). Literal counts are identical at any value.
+	// Workers is threaded to core.Options.Workers for every RAR
+	// substitution run (0 = GOMAXPROCS); the SIS baseline runs serially.
+	// Literal counts are identical at any value.
 	Workers int
 	// Algorithms restricts the run to a subset of the table columns
 	// (nil = all of exp.Algorithms). Unknown names are rejected by RunWith
@@ -136,7 +137,7 @@ func runAlgorithm(prepared *network.Network, alg string, o RunOptions) (Cell, er
 		st := core.Substitute(nw, core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers, NoSigFilter: o.NoSigFilter, NoTrialCache: o.NoTrialCache, TrialCache: o.TrialCache})
 		sub = &st
 	} else if alg == "sis" {
-		script.ResubSISJ(o.Workers)(nw)
+		script.ResubSIS(nw)
 	} else {
 		return Cell{}, validateAlgs([]string{alg})
 	}
@@ -155,7 +156,7 @@ func runAlgorithmFullFlow(raw *network.Network, alg string, table int, o RunOpti
 		sub = &core.Stats{}
 		resub = script.ResubRARWith(core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers, NoSigFilter: o.NoSigFilter, NoTrialCache: o.NoTrialCache, TrialCache: o.TrialCache}, sub)
 	} else if alg == "sis" {
-		resub = script.ResubSISJ(o.Workers)
+		resub = script.ResubSIS
 	} else {
 		return Cell{}, validateAlgs([]string{alg})
 	}

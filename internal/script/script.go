@@ -18,12 +18,6 @@ type Resub func(nw *network.Network)
 // (the paper's `resub -d`).
 func ResubSIS(nw *network.Network) { opt.ResubAlgebraic(nw, true) }
 
-// ResubSISJ is ResubSIS with the worker-pool knob threaded through to
-// opt.ResubAlgebraicJ.
-func ResubSISJ(workers int) Resub {
-	return func(nw *network.Network) { opt.ResubAlgebraicJ(nw, true, workers) }
-}
-
 // ResubRAR returns the paper's Boolean substitution in the given
 // configuration; POS-form substitution and multi-node divisor pooling are
 // enabled as in the paper.
