@@ -2,7 +2,8 @@
 # CI gate: formatting + vet + the bdslint invariant suite + full test suite
 # (tier-1) + race detector over the packages the parallel substitution
 # engine touches (including the batch scheduler driven over a 100k-gate
-# circuit regenerated from its committed recipe) + a fuzz smoke over every
+# circuit regenerated from its committed recipe) + a one-iteration smoke of
+# the equivalence-check benchmark + a fuzz smoke over every
 # fuzz target (BLIF parser, cube algebra, cone hashing, batch cone
 # disjointness) + a bench-regression check of the substitution engine
 # against the committed baseline — timing drift warns, scaling-floor
@@ -39,6 +40,10 @@ go test ./...
 # on the host's core count.
 go test -cpu 1,2,4 ./internal/core
 go test -race ./internal/core ./internal/atpg ./internal/netlist
+# Equivalence-check benchmark smoke: one iteration of each case (exhaustive
+# 16-input rand DAG; randomized + SAT on a 60-input cone forest) so the
+# benchmark keeps compiling and running. Not gated: benchreg does not track it.
+go test -run '^$' -bench '^BenchmarkVerifyCheck$' -benchtime 1x -benchmem ./internal/verify
 
 # Batch-scheduler race + identity check at scale: regenerate the 100k-gate
 # cone-forest corpus circuit in-process from its committed recipe

@@ -1,5 +1,7 @@
 package network
 
+import "repro/internal/cube"
+
 // Structural cone hashes: every signal carries a 128-bit hash of its
 // transitive fanin cone — the signal names, fanin lists, and exact cover
 // cubes of everything the signal's function is built from. Two network
@@ -251,10 +253,11 @@ func (t *ConeTable) compute(id SigID, n *Node) ConeHash {
 	d.word(uint64(n.Cover.NumVars()))
 	d.word(uint64(n.Cover.NumCubes()))
 	for _, c := range n.Cover.Cubes {
-		lits := c.Lits()
-		d.word(uint64(len(lits)))
-		for _, v := range lits {
-			d.word(uint64(v)<<2 | uint64(c.Get(v)))
+		d.word(uint64(c.NumLits()))
+		for v := 0; v < c.NumVars(); v++ {
+			if p := c.Get(v); p == cube.Pos || p == cube.Neg {
+				d.word(uint64(v)<<2 | uint64(p))
+			}
 		}
 	}
 	return d.sum()

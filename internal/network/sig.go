@@ -390,12 +390,16 @@ func (t *SigTable) ObsCare(name string) (Signature, bool) {
 // the cube is 1). ok=false when a fanin signature is unavailable.
 func (t *SigTable) CubeSig(c cube.Cube, fanins []string) (Signature, bool) {
 	s := AllOnes()
-	for _, v := range c.Lits() {
+	for v, n := 0, c.NumVars(); v < n; v++ {
+		p := c.Get(v)
+		if p != cube.Pos && p != cube.Neg {
+			continue
+		}
 		fs, ok := t.Sig(fanins[v])
 		if !ok {
 			return Signature{}, false
 		}
-		if c.Get(v) == cube.Neg {
+		if p == cube.Neg {
 			fs = fs.Not()
 		}
 		s = s.And(fs)

@@ -180,3 +180,24 @@ func TestSignatureOps(t *testing.T) {
 		t.Error("Not wrong")
 	}
 }
+
+// TestCoverEvalAllocFree pins the per-node evaluators the incremental
+// signature refresh runs in the core loop, evalCoverIDs and CubeSig, as
+// allocation-free: they walk each cube's phases in place rather than
+// allocating a literal slice per cube.
+func TestCoverEvalAllocFree(t *testing.T) {
+	nw := buildSmall()
+	tab := nw.EnableSigs()
+	f := nw.Node("f")
+	id, _ := nw.IDOf("f")
+	fids := nw.FaninIDsOf(id)
+	val := make([]uint64, nw.NumSigs())
+	cov := cube.ParseCover(2, "ab' + a'b")
+	if a := testing.AllocsPerRun(100, func() { evalCoverIDs(cov, fids, val) }); a != 0 {
+		t.Errorf("evalCoverIDs: %v allocs, want 0", a)
+	}
+	c := cube.Parse(2, "ab'")
+	if a := testing.AllocsPerRun(100, func() { tab.CubeSig(c, f.Fanins) }); a != 0 {
+		t.Errorf("CubeSig: %v allocs, want 0", a)
+	}
+}

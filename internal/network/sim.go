@@ -2,50 +2,129 @@ package network
 
 import "repro/internal/cube"
 
+// SimProgram is a network compiled for repeated 64-pattern simulation:
+// the topological node order, every node's cubes flattened into runs of
+// (fanin SigID, phase) literals, and the PI and PO SigIDs. Compiling once
+// and calling Run per word replaces re-deriving the order, re-decoding the
+// cubes and re-hashing names on every word. A program is a snapshot: it
+// does not follow later edits of the network it was compiled from.
+type SimProgram struct {
+	nsig    int
+	pis     []SigID
+	pos     []SigID
+	order   []SigID  // live nodes, fanins first
+	nodeEnd []int32  // nodeEnd[k]: end of order[k]'s cubes in cubeEnd
+	cubeEnd []int32  // cubeEnd[c]: end of cube c's literals in lits
+	lits    []uint32 // fanin SigID<<1 | 1 when the literal is complemented
+}
+
+// Compile builds the simulation program of nw's current structure. Panics
+// on a combinational cycle, like TopoOrderIDs.
+func (nw *Network) Compile() *SimProgram {
+	order := nw.TopoOrderIDs()
+	p := &SimProgram{
+		nsig:    nw.sym.Len(),
+		pis:     append([]SigID(nil), nw.pis...),
+		pos:     append([]SigID(nil), nw.posIDs...),
+		order:   order,
+		nodeEnd: make([]int32, len(order)),
+	}
+	for k, id := range order {
+		fids := nw.faninIDs[id]
+		for _, c := range nw.defs[id].Cover.Cubes {
+			for v, n := 0, c.NumVars(); v < n; v++ {
+				switch c.Get(v) {
+				case cube.Pos:
+					p.lits = append(p.lits, uint32(fids[v])<<1)
+				case cube.Neg:
+					p.lits = append(p.lits, uint32(fids[v])<<1|1)
+				}
+			}
+			p.cubeEnd = append(p.cubeEnd, int32(len(p.lits)))
+		}
+		p.nodeEnd[k] = int32(len(p.cubeEnd))
+	}
+	return p
+}
+
+// NumSigs is the minimum length of the value buffer Run takes.
+func (p *SimProgram) NumSigs() int { return p.nsig }
+
+// PIs returns the primary-input SigIDs in the network's PI order.
+func (p *SimProgram) PIs() []SigID { return p.pis }
+
+// POs returns the primary-output SigIDs in the network's PO order.
+func (p *SimProgram) POs() []SigID { return p.pos }
+
+// Run evaluates one 64-pattern word. val is a caller-owned SigID-indexed
+// buffer of at least NumSigs entries: the caller writes the PI words, Run
+// overwrites every node's word in topological order. Entries of undriven
+// signals are read but never written, so in a zeroed buffer they read as
+// constant 0 — the semantics Simulate has always had — and one buffer can
+// be reused across words.
+//
+//bdslint:hotpath
+func (p *SimProgram) Run(val []uint64) {
+	val = val[:p.nsig]
+	c, l := 0, 0
+	for k, id := range p.order {
+		var out uint64
+		for end := int(p.nodeEnd[k]); c < end; c++ {
+			w := ^uint64(0)
+			for lend := int(p.cubeEnd[c]); l < lend; l++ {
+				lit := p.lits[l]
+				w &= val[lit>>1] ^ -uint64(lit&1)
+			}
+			out |= w
+		}
+		val[id] = out
+	}
+}
+
 // Simulate evaluates the network on 64 parallel input patterns: piWords maps
 // each PI name to a 64-bit word (bit k = value of that PI in pattern k).
 // It returns a word per signal (PIs included). Every PI must be present in
 // piWords; a missing entry panics (like the package's other invariant
 // violations) rather than silently simulating the PI as constant 0.
-// Internally the evaluation runs on the dense ID core (one slice index per
-// fanin read); the maps exist only at this boundary.
+// It is the name-keyed wrapper over Compile and Run; callers that simulate
+// more than one word should compile once and run the program directly.
 func (nw *Network) Simulate(piWords map[string]uint64) map[string]uint64 {
-	val := make([]uint64, nw.sym.Len())
-	for i, pi := range nw.pis {
+	p := nw.Compile()
+	val := make([]uint64, p.nsig)
+	for i, pi := range p.pis {
 		w, ok := piWords[nw.piNames[i]]
 		if !ok {
 			panic("network: Simulate missing PI " + nw.piNames[i])
 		}
 		val[pi] = w
 	}
-	ids := nw.TopoOrderIDs()
-	out := make(map[string]uint64, len(ids)+len(nw.pis))
-	for i, pi := range nw.pis {
+	p.Run(val)
+	out := make(map[string]uint64, len(p.order)+len(p.pis))
+	for i, pi := range p.pis {
 		out[nw.piNames[i]] = val[pi]
 	}
-	for _, id := range ids {
-		n := nw.defs[id]
-		val[id] = evalCoverIDs(n.Cover, nw.faninIDs[id], val)
+	for _, id := range p.order {
 		out[nw.sym.Name(id)] = val[id]
 	}
 	return out
 }
 
-// evalCoverIDs evaluates a cover bit-parallel given a SigID-indexed word
+// evalCoverIDs evaluates one cover bit-parallel given a SigID-indexed word
 // slice (an undriven fanin reads as constant 0, matching the historical
-// missing-map-entry behavior).
+// missing-map-entry behavior). It walks each cube's phases in place rather
+// than allocating its literal list. It serves the per-node incremental paths
+// (SigTable.Refresh/ObsCare, the signature audit); whole-network simulation
+// goes through SimProgram.
 func evalCoverIDs(f cube.Cover, fanins []SigID, val []uint64) uint64 {
 	var out uint64
 	for _, c := range f.Cubes {
 		w := ^uint64(0)
-		for _, v := range c.Lits() {
-			x := val[fanins[v]]
-			if c.Get(v) == cube.Neg {
-				x = ^x
-			}
-			w &= x
-			if w == 0 {
-				break
+		for v, n := 0, c.NumVars(); v < n && w != 0; v++ {
+			switch c.Get(v) {
+			case cube.Pos:
+				w &= val[fanins[v]]
+			case cube.Neg:
+				w &^= val[fanins[v]]
 			}
 		}
 		out |= w

@@ -44,7 +44,7 @@ func evalCoverMinterm(cov cube.Cover, m uint64) bool {
 }
 
 // TestSimulateMatchesGlobalCover cross-checks the two evaluation paths the
-// repository relies on: word-parallel simulation (evalCoverWords through
+// repository relies on: word-parallel simulation (SimProgram through
 // Simulate) and exhaustive symbolic collapse (GlobalCover). On random small
 // networks every minterm must agree.
 func TestSimulateMatchesGlobalCover(t *testing.T) {

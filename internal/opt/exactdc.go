@@ -77,10 +77,17 @@ func exactDCNode(nw *network.Network, name string) bool {
 	}
 	nw0, nw1 := tie(false), tie(true)
 
+	// One compiled program and value buffer per network; the two tied
+	// copies are clones, so they share nw's PI order and PO list.
+	p, p0, p1 := nw.Compile(), nw0.Compile(), nw1.Compile()
+	val := make([]uint64, p.NumSigs())
+	val0 := make([]uint64, p0.NumSigs())
+	val1 := make([]uint64, p1.NumSigs())
+	id, _ := nw.IDOf(name)
+	fanins := nw.FaninIDsOf(id)
 	total := uint64(1) << nPI
 	for base := uint64(0); base < total; base += 64 {
-		in := make(map[string]uint64, nPI)
-		for i, pi := range pis {
+		for i := range pis {
 			var w uint64
 			if i < 6 {
 				for b := 0; b < 64; b++ {
@@ -91,28 +98,32 @@ func exactDCNode(nw *network.Network, name string) bool {
 			} else if base>>uint(i)&1 == 1 {
 				w = ^uint64(0)
 			}
-			in[pi] = w
+			val[p.PIs()[i]] = w
+			val0[p0.PIs()[i]] = w
+			val1[p1.PIs()[i]] = w
 		}
-		vals := nw.Simulate(in)
-		v0 := nw0.Simulate(in)
-		v1 := nw1.Simulate(in)
+		p.Run(val)
+		p0.Run(val0)
+		p1.Run(val1)
+		// Patterns on which tying the node to 0 vs 1 changes some PO.
+		var obs uint64
+		for j := range p0.POs() {
+			obs |= val0[p0.POs()[j]] ^ val1[p1.POs()[j]]
+		}
 		valid := 64
 		if total-base < 64 {
 			valid = int(total - base)
 		}
 		for b := 0; b < valid; b++ {
 			y := 0
-			for i, fi := range n.Fanins {
-				if vals[fi]>>b&1 == 1 {
+			for i, fi := range fanins {
+				if val[fi]>>b&1 == 1 {
 					y |= 1 << i
 				}
 			}
 			reachable[y] = true
-			for _, po := range nw.POs() {
-				if (v0[po]^v1[po])>>b&1 == 1 {
-					observable[y] = true
-					break
-				}
+			if obs>>b&1 == 1 {
+				observable[y] = true
 			}
 		}
 	}

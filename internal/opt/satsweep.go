@@ -35,16 +35,21 @@ func satSweepRound(nw *network.Network, merged *int) bool {
 	}
 	// 1. Signatures from 256 random patterns (4 words).
 	r := rand.New(rand.NewSource(0xFACADE))
+	prog := nw.Compile()
+	val := make([]uint64, prog.NumSigs())
+	ids := make([]network.SigID, len(names))
+	for i, n := range names {
+		ids[i], _ = nw.IDOf(n)
+	}
 	sig := make(map[string][4]uint64, len(names))
 	for w := 0; w < 4; w++ {
-		in := map[string]uint64{}
-		for _, pi := range nw.PIs() {
-			in[pi] = r.Uint64()
+		for _, pi := range prog.PIs() {
+			val[pi] = r.Uint64()
 		}
-		vals := nw.Simulate(in)
-		for _, n := range names {
+		prog.Run(val)
+		for i, n := range names {
 			s := sig[n]
-			s[w] = vals[n]
+			s[w] = val[ids[i]]
 			sig[n] = s
 		}
 	}

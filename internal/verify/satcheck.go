@@ -44,20 +44,8 @@ func satCheck(a, b *network.Network, pis, pos []string) (Result, bool) {
 			out.FailingPattern[pi] = model[piVar[pi]]
 		}
 		// Identify a failing PO by simulation of the counterexample.
-		in := map[string]uint64{}
-		for pi, v := range out.FailingPattern {
-			if v {
-				in[pi] = 1
-			} else {
-				in[pi] = 0
-			}
-		}
-		sa, sb := a.Simulate(in), b.Simulate(in)
-		for _, po := range pos {
-			if sa[po]&1 != sb[po]&1 {
-				out.FailingPO = po
-				break
-			}
+		if i := firstFailingPO(newSim(a, pis, pos), newSim(b, pis, pos), pis, out.FailingPattern); i >= 0 {
+			out.FailingPO = pos[i]
 		}
 		return out, true
 	default:

@@ -6,6 +6,7 @@ package verify
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -81,47 +82,83 @@ func sameSet(kind string, x, y []string) ([]string, error) {
 	return xs, nil
 }
 
+// sim is one side of a check: the network's compiled simulation program,
+// its reusable value buffer, and the SigIDs of the check's PIs and POs.
+type sim struct {
+	prog *network.SimProgram
+	val  []uint64
+	pi   []int           // pi[j]: index into the check's PI words of prog.PIs()[j]
+	po   []network.SigID // po[i]: SigID of the check's PO i
+}
+
+// newSim compiles nw for a check over the named PIs and POs. Every PI of nw
+// must be among pis (a missing one panics, as network.Simulate does); extra
+// names are ignored. Every PO name must be a signal of nw.
+func newSim(nw *network.Network, pis, pos []string) *sim {
+	p := nw.Compile()
+	s := &sim{prog: p, val: make([]uint64, p.NumSigs())}
+	at := make(map[string]int, len(pis))
+	for i, pi := range pis {
+		at[pi] = i
+	}
+	for _, name := range nw.PIs() {
+		i, ok := at[name]
+		if !ok {
+			panic("verify: missing PI " + name)
+		}
+		s.pi = append(s.pi, i)
+	}
+	s.po = make([]network.SigID, len(pos))
+	for i, po := range pos {
+		id, ok := nw.IDOf(po)
+		if !ok {
+			panic("verify: missing PO " + po)
+		}
+		s.po[i] = id
+	}
+	return s
+}
+
+// run simulates one word: words[i] is the word of the check's PI i.
+func (s *sim) run(words []uint64) {
+	for j, pi := range s.prog.PIs() {
+		s.val[pi] = words[s.pi[j]]
+	}
+	s.prog.Run(s.val)
+}
+
+// out returns the last run's word of the check's PO i.
+func (s *sim) out(i int) uint64 { return s.val[s.po[i]] }
+
 func exhaustive(a, b *network.Network, pis, pos []string) Result {
 	n := len(pis)
 	total := uint64(1) << n
 	res := Result{Equivalent: true, Exhaustive: true}
+	sa, sb := newSim(a, pis, pos), newSim(b, pis, pos)
 	// Pack 64 consecutive minterms per word: PI i of minterm (base+k) is
 	// bit i of (base+k). For i < 6 the pattern within a word is periodic;
 	// for i >= 6 it is constant per word.
-	var lowMasks [6]uint64
-	for i := 0; i < 6; i++ {
-		var w uint64
+	words := make([]uint64, n)
+	for i := 0; i < n && i < 6; i++ {
 		for k := 0; k < 64; k++ {
 			if k>>i&1 == 1 {
-				w |= 1 << k
+				words[i] |= 1 << k
 			}
 		}
-		lowMasks[i] = w
-	}
-	step := uint64(64)
-	if total < step {
-		step = total
 	}
 	for base := uint64(0); base < total; base += 64 {
-		words := make(map[string]uint64, n)
-		for i, pi := range pis {
-			if i < 6 {
-				words[pi] = lowMasks[i]
-			} else if base>>uint(i)&1 == 1 {
-				words[pi] = ^uint64(0)
-			} else {
-				words[pi] = 0
-			}
+		for i := 6; i < n; i++ {
+			words[i] = -(base >> uint(i) & 1)
 		}
-		va := a.Simulate(words)
-		vb := b.Simulate(words)
+		sa.run(words)
+		sb.run(words)
 		valid := ^uint64(0)
 		if total-base < 64 {
 			valid = (uint64(1) << (total - base)) - 1
 		}
-		for _, po := range pos {
-			if d := (va[po] ^ vb[po]) & valid; d != 0 {
-				k := trailingBit(d)
+		for i, po := range pos {
+			if d := (sa.out(i) ^ sb.out(i)) & valid; d != 0 {
+				k := bits.TrailingZeros64(d)
 				res.Equivalent = false
 				res.FailingPO = po
 				res.FailingPattern = pattern(pis, base+uint64(k))
@@ -137,21 +174,22 @@ func exhaustive(a, b *network.Network, pis, pos []string) Result {
 func randomized(a, b *network.Network, pis, pos []string, words int) Result {
 	r := rand.New(rand.NewSource(0x5EED))
 	res := Result{Equivalent: true}
+	sa, sb := newSim(a, pis, pos), newSim(b, pis, pos)
+	in := make([]uint64, len(pis))
 	for w := 0; w < words; w++ {
-		in := make(map[string]uint64, len(pis))
-		for _, pi := range pis {
-			in[pi] = r.Uint64()
+		for i := range in {
+			in[i] = r.Uint64()
 		}
-		va := a.Simulate(in)
-		vb := b.Simulate(in)
-		for _, po := range pos {
-			if d := va[po] ^ vb[po]; d != 0 {
-				k := trailingBit(d)
+		sa.run(in)
+		sb.run(in)
+		for i, po := range pos {
+			if d := sa.out(i) ^ sb.out(i); d != 0 {
+				k := bits.TrailingZeros64(d)
 				res.Equivalent = false
 				res.FailingPO = po
 				res.FailingPattern = map[string]bool{}
-				for _, pi := range pis {
-					res.FailingPattern[pi] = in[pi]>>k&1 == 1
+				for j, pi := range pis {
+					res.FailingPattern[pi] = in[j]>>k&1 == 1
 				}
 				res.PatternsTried = w*64 + k + 1
 				return res
@@ -160,6 +198,25 @@ func randomized(a, b *network.Network, pis, pos []string, words int) Result {
 	}
 	res.PatternsTried = words * 64
 	return res
+}
+
+// firstFailingPO simulates one pattern on both sides and returns the index
+// of the first PO on which they disagree, or -1.
+func firstFailingPO(sa, sb *sim, pis []string, p map[string]bool) int {
+	words := make([]uint64, len(pis))
+	for i, pi := range pis {
+		if p[pi] {
+			words[i] = 1
+		}
+	}
+	sa.run(words)
+	sb.run(words)
+	for i := range sa.po {
+		if (sa.out(i)^sb.out(i))&1 != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // ShrinkCounterexample greedily simplifies a failing pattern: each PI in
@@ -171,48 +228,23 @@ func ShrinkCounterexample(a, b *network.Network, pattern map[string]bool) map[st
 	for k, v := range pattern {
 		cur[k] = v
 	}
-	disagree := func(p map[string]bool) bool {
-		in := map[string]uint64{}
-		for _, pi := range a.PIs() {
-			in[pi] = 0
-		}
-		for pi, v := range p {
-			if v {
-				in[pi] = 1
-			}
-		}
-		va, vb := a.Simulate(in), b.Simulate(in)
-		for _, po := range a.POs() {
-			if va[po]&1 != vb[po]&1 {
-				return true
-			}
-		}
-		return false
-	}
-	if !disagree(cur) {
-		return cur // not actually a counterexample; return unchanged
-	}
 	pis := append([]string(nil), a.PIs()...)
 	sort.Strings(pis)
+	sa, sb := newSim(a, pis, a.POs()), newSim(b, pis, a.POs())
+	disagree := func() bool { return firstFailingPO(sa, sb, pis, cur) >= 0 }
+	if !disagree() {
+		return cur // not actually a counterexample; return unchanged
+	}
 	for _, pi := range pis {
 		if !cur[pi] {
 			continue
 		}
 		cur[pi] = false
-		if !disagree(cur) {
+		if !disagree() {
 			cur[pi] = true
 		}
 	}
 	return cur
-}
-
-func trailingBit(w uint64) int {
-	for k := 0; k < 64; k++ {
-		if w>>k&1 == 1 {
-			return k
-		}
-	}
-	return 0
 }
 
 func pattern(pis []string, m uint64) map[string]bool {
