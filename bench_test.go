@@ -588,7 +588,7 @@ func BenchmarkSubstituteParallel(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				total, trials, hits := 0, 0, 0
+				total, trials := 0, 0
 				for _, base := range prepared {
 					nw := base.Clone()
 					st := core.Substitute(nw, core.Options{
@@ -596,13 +596,9 @@ func BenchmarkSubstituteParallel(b *testing.B) {
 					})
 					total += nw.FactoredLits()
 					trials += st.DivisorTrials
-					hits += st.CacheHits
 				}
 				b.ReportMetric(float64(total), "lits")
 				b.ReportMetric(float64(trials), "trials")
-				if trials > 0 {
-					b.ReportMetric(100*float64(hits)/float64(trials), "hit%")
-				}
 			}
 		})
 	}
@@ -640,7 +636,7 @@ func BenchmarkSubstituteScale(b *testing.B) {
 					nw := base.Clone()
 					b.StartTimer()
 					st := core.Substitute(nw, core.Options{
-						Config: core.Basic, WindowDepth: 3, NoSigFilter: true,
+						Config: core.Basic, WindowDepth: 3,
 						MaxPasses: 1, MaxDivisorTrials: 8,
 						Workers: workers,
 					})
@@ -685,49 +681,6 @@ func BenchmarkSubstituteOverlay(b *testing.B) {
 					total += nw.FactoredLits()
 				}
 				b.ReportMetric(float64(total), "lits")
-			}
-		})
-	}
-}
-
-// BenchmarkSubstituteTrialCache measures the cross-pass trial memoization
-// cache: with the cache on, a divisor pair whose cones are structurally
-// unchanged since an earlier pass replays its stored verdict instead of
-// re-running the clone + netlist + implication trial. The committed
-// networks are bit-identical either way (TestSubstituteTrialCacheInvariant);
-// trials counts exact evaluations, hit% is the fraction of divisor trials
-// served from the cache, and lits confirms results did not move.
-func BenchmarkSubstituteTrialCache(b *testing.B) {
-	circuits := []string{"rnd_d", "rnd_e", "csel8", "mult3", "pla_c"}
-	prepared := make([]*network.Network, len(circuits))
-	for i, name := range circuits {
-		nw := bench.Get(name)
-		script.A(nw)
-		prepared[i] = nw
-	}
-	for _, mode := range []struct {
-		name    string
-		noCache bool
-	}{{"off", true}, {"on", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				total, trials, hits := 0, 0, 0
-				for _, base := range prepared {
-					nw := base.Clone()
-					st := core.Substitute(nw, core.Options{
-						Config: core.Extended, POS: true, Pool: true,
-						NoTrialCache: mode.noCache,
-					})
-					total += nw.FactoredLits()
-					trials += st.DivisorTrials
-					hits += st.CacheHits
-				}
-				b.ReportMetric(float64(total), "lits")
-				b.ReportMetric(float64(trials), "trials")
-				if trials > 0 {
-					b.ReportMetric(100*float64(hits)/float64(trials), "hit%")
-				}
 			}
 		})
 	}
@@ -811,46 +764,4 @@ func BenchmarkNodeLookup(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSubstituteSigFilter measures the simulation-signature divisor
-// prefilter: with the filter on, candidates whose signature necessary
-// condition fails skip the exact trial (clone + netlist + implication
-// engine) entirely. The committed networks are bit-identical either way
-// (TestSubstituteSigFilterInvariant); the trials metric shows how many
-// exact trials each mode evaluates and lits confirms results did not move.
-func BenchmarkSubstituteSigFilter(b *testing.B) {
-	circuits := []string{"rnd_d", "rnd_e", "csel8", "mult3", "pla_c"}
-	prepared := make([]*network.Network, len(circuits))
-	for i, name := range circuits {
-		nw := bench.Get(name)
-		script.A(nw)
-		prepared[i] = nw
-	}
-	for _, mode := range []struct {
-		name     string
-		noFilter bool
-	}{{"off", true}, {"on", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				total, trials, rejected, fpass := 0, 0, 0, 0
-				for _, base := range prepared {
-					nw := base.Clone()
-					st := core.Substitute(nw, core.Options{
-						Config: core.Extended, POS: true, Pool: true,
-						NoSigFilter: mode.noFilter,
-					})
-					total += nw.FactoredLits()
-					trials += st.DivisorTrials
-					rejected += st.SigFilterReject
-					fpass += st.SigFilterFalsePass
-				}
-				b.ReportMetric(float64(total), "lits")
-				b.ReportMetric(float64(trials), "trials")
-				b.ReportMetric(float64(rejected), "rejected")
-				b.ReportMetric(float64(fpass), "fpass")
-			}
-		})
-	}
 }

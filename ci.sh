@@ -4,7 +4,7 @@
 # engine touches (including the batch scheduler driven over a 100k-gate
 # circuit regenerated from its committed recipe) + a one-iteration smoke of
 # the equivalence-check benchmark + a fuzz smoke over every
-# fuzz target (BLIF parser, cube algebra, cone hashing, batch cone
+# fuzz target (BLIF parser, cube algebra, overlay reads, batch cone
 # disjointness) + a bench-regression check of the substitution engine
 # against the committed baseline — timing drift warns, scaling-floor
 # violations fail. Run from the repo root.
@@ -63,7 +63,6 @@ for target in \
   'FuzzParse ./internal/blif' \
   'FuzzParseNoSemanticsCrash ./internal/blif' \
   'FuzzCoverOps ./internal/cube' \
-  'FuzzConeHashOrderInvariance ./internal/network' \
   'FuzzOverlayReadEquivalence ./internal/network' \
   'FuzzBatchDisjoint ./internal/core'
 do
@@ -84,6 +83,6 @@ done
 # thresholds than ns/op: allocation counts are near-deterministic here, so
 # drift means the engine's allocation behavior actually changed.
 go build -o /tmp/benchreg.ci ./cmd/benchreg
-go test -run '^$' -bench 'BenchmarkSubstitute(Parallel|TrialCache)$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$' -benchtime 1x -benchmem -timeout 60m . \
+go test -run '^$' -bench 'BenchmarkSubstituteParallel$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$' -benchtime 1x -benchmem -timeout 60m . \
   | /tmp/benchreg.ci -emit /tmp/BENCH_substitute.json
 /tmp/benchreg.ci -compare testdata/bench/BENCH_substitute.json /tmp/BENCH_substitute.json

@@ -13,14 +13,17 @@ import (
 	"repro/internal/script"
 )
 
-// TestSubstituteSigFilterInvariant is the acceptance test for the
-// simulation-signature divisor prefilter: over the bench suite and all
-// three configurations, the committed BLIF must be byte-identical with the
-// filter off, on, and on with a parallel planner pool — the filter may only
-// skip trials that would have failed, never change what commits.
+// TestSubstituteSigFilterInvariant is the suite-wide result-invisibility
+// test of the engine's speed layers. The simulation-signature prefilter it
+// was first written for is gone: every candidate divisor is tried for real,
+// so the filter and trial-cache counters still kept in Stats must read 0.
+// The layers that remain, copy-on-write overlay trials and batched commits,
+// may not change what commits: over the bench suite and all three
+// configurations, the committed BLIF must be byte-identical to the serial,
+// unbatched deep-clone reference run.
 func TestSubstituteSigFilterInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-suite sig-filter sweep skipped in -short mode")
+		t.Skip("full-suite speed-layer sweep skipped in -short mode")
 	}
 	configs := []struct {
 		name string
@@ -37,22 +40,21 @@ func TestSubstituteSigFilterInvariant(t *testing.T) {
 			prepared := bench.Get(name)
 			script.Prepare(2, prepared)
 			for _, c := range configs {
-				run := func(noFilter bool, workers int) string {
+				run := func(reference bool) string {
 					nw := prepared.Clone()
-					core.Substitute(nw, core.Options{
-						Config: c.cfg, POS: true, Pool: true,
-						Workers: workers, NoSigFilter: noFilter,
+					st := core.Substitute(nw, core.Options{
+						Config: c.cfg, POS: true, Pool: true, Workers: 1,
+						NoOverlay: reference, NoBatch: reference,
 					})
+					if n := st.SigFilterReject + st.SigFilterPass + st.CacheHits + st.CacheMisses; n != 0 {
+						t.Errorf("%s/%s: filter and cache counters sum to %d, want 0", name, c.name, n)
+					}
 					return blif.ToString(nw)
 				}
-				off := run(true, 1)
-				if on := run(false, 1); on != off {
-					t.Errorf("%s/%s: filter on (serial) differs from filter off\n--- off ---\n%s\n--- on ---\n%s",
-						name, c.name, off, on)
-				}
-				if on8 := run(false, 8); on8 != off {
-					t.Errorf("%s/%s: filter on (Workers=8) differs from filter off\n--- off ---\n%s\n--- on ---\n%s",
-						name, c.name, off, on8)
+				ref := run(true)
+				if got := run(false); got != ref {
+					t.Errorf("%s/%s: overlay+batch run differs from the clone-path reference\n--- reference ---\n%s\n--- shipped ---\n%s",
+						name, c.name, ref, got)
 				}
 			}
 		})
@@ -92,4 +94,39 @@ func TestSubstituteWorkerCountInvariant(t *testing.T) {
 			}
 		})
 	}
+	// A generated cone forest under the shipped ext flow, with Audit on
+	// (every commit Check-audited, every overlay trial re-run on the clone
+	// path), at Workers 1 and 2 with batching on and off. Its second pass
+	// holds a complement-phase trial whose redundancy removal reads
+	// observability don't-cares through the dividend's fanout cone, so a
+	// trial outcome is not a function of the dividend's and divisor's fanin
+	// cones alone.
+	t.Run("cone200_s1016", func(t *testing.T) {
+		t.Parallel()
+		prepared, err := bench.Generate("cone", 200, 0, 1016)
+		if err != nil {
+			t.Fatal(err)
+		}
+		script.A(prepared)
+		want := ""
+		for _, noBatch := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				nw := prepared.Clone()
+				st := core.Substitute(nw, core.Options{
+					Config: core.Extended, POS: true, Pool: true,
+					Workers: workers, NoBatch: noBatch, Audit: true,
+				})
+				got := blif.ToString(nw)
+				if want == "" {
+					want = got
+					if st.Substitutions != 47 || st.LitsAfter != 228 {
+						t.Errorf("committed %d substitutions, %d literals; want 47, 228", st.Substitutions, st.LitsAfter)
+					}
+				} else if got != want {
+					t.Fatalf("workers %d batch=%v: network differs from workers 1 batch=true\n--- want ---\n%s\n--- got ---\n%s",
+						workers, !noBatch, want, got)
+				}
+			}
+		}
+	})
 }

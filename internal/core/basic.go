@@ -141,9 +141,7 @@ func divideWithParts(sc *scratch, nw network.Reader, f, d string, union []string
 }
 
 // tentativeCover builds the pre-removal division structure f = (qPart ∧ y)
-// + rem over the union space plus the divisor signal (shared by
-// divideWithParts and the signature prefilter's exact no-removal gain
-// computation — the two must stay cube-for-cube identical).
+// + rem over the union space plus the divisor signal.
 func tentativeCover(union []string, d string, qPart, rem cube.Cover, yPhase cube.Phase) (cube.Cover, []string) {
 	// Variable space: union signals plus the divisor signal.
 	space := union

@@ -29,8 +29,8 @@ import (
 // j's serial computation is identical in S_0 and S_{j-1}:
 //
 //	E1a  dirtyCone[f]: f itself or f's fanin-cone content changed — covers
-//	     the dividend's node data, its trial windows, and its filter
-//	     signature inputs (a cone change puts f in TFO(target)).
+//	     the dividend's node data and its trial windows (a cone change puts
+//	     f in TFO(target)).
 //	E1b  dirtySupp ∩ guard, guard = {f} ∪ supp(f) ∪ TFO(f): any commit
 //	     whose touched nodes gained or lost a fanin in the guard. This
 //	     catches candidate-set drift — every enumeration candidate shares a
@@ -39,15 +39,11 @@ import (
 //	     in supp(f) — and TFO-membership drift, because a path from f is
 //	     created or broken only by a commit whose target holds a fanin in
 //	     TFO(f) ∪ {f} (its path predecessor).
+//	     The same guard evicts the member when any node in TFO(f) is
+//	     rewritten, which matters on its own: a trial's outcome reads f's
+//	     fanout structure, not only the fanin cones of f and d.
 //	E2   dirtyCone[d] for a listed candidate d: d's cone content changed,
-//	     so d's trial outcomes (a function of cone(f), cone(d), opts — the
-//	     trial-cache contract, trialcache.go) may differ.
-//	E3   dirtyCone[s] for s ∈ side, side = ∪ supp(X), X ∈ TFO(f): the
-//	     signature prefilter's observability terms (ObsCare/nodeOutDomTerm)
-//	     read sampled signatures of TFO side fanins; a cone change under
-//	     such a fanin drifts which trials the filter skips. Structural
-//	     changes IN the TFO region are already E1b (a touched TFO node
-//	     holds its path predecessor, a guard signal, as fanin).
+//	     so d's trial outcomes may differ.
 //	E4   bdcDirty and the plan creates nodes: a commit added or deleted a
 //	     "bdc"-prefixed name (or swapped the whole network), so the fresh
 //	     core name the speculated plan embeds may no longer be the name
@@ -66,9 +62,8 @@ import (
 // Conflict-claim soundness note: the claims (pairwise-disjoint TFI∪TFO
 // footprints) make conflicts *unlikely*, maximizing surviving speculation;
 // the eviction rules alone carry correctness. That is deliberate — rules
-// E1b/E3/E4 see through interactions (shared fanin names, observability
-// side inputs, the global fresh-name counter) that cone disjointness does
-// not capture.
+// E1b/E4 see through interactions (shared fanin names, the global
+// fresh-name counter) that cone disjointness does not capture.
 
 // batchWindow caps how many claiming (candidate-bearing) members one batch
 // may hold: enough to keep every worker fed several times over, small
@@ -116,21 +111,19 @@ type batchMember struct {
 	solo    bool          // over-cap footprint: run via the serial fallback
 
 	// The member's trial sequence (dividend name and candidates at
-	// batch-build time), prepared in phase A against the frozen pre-batch
-	// network exactly as a wave prepares against the live one; sf also
-	// decides rule E3's applicability.
+	// batch-build time), run in phase B against the frozen pre-batch
+	// network.
 	trialSeq
 	candIDs []network.SigID // SigID of each candidate (rule E2)
 
 	fp    []network.SigID // claim footprint: node-driven {f} ∪ TFI ∪ TFO
 	tfo   []network.SigID // node-driven TFO(f) (shared tail of fp)
 	guard []network.SigID // {f} ∪ raw fanin IDs of f ∪ TFO(f) (rule E1b)
-	side  []network.SigID // non-PI fanins of TFO nodes (rule E3)
 
 	// Phase-B results.
 	plan    plan
 	hasPlan bool
-	spec    int // speculative trial verdicts produced (incl. cache replays)
+	spec    int // speculative trial verdicts produced
 }
 
 // batchObserver, when set (tests only), receives every multi-member batch
@@ -176,24 +169,11 @@ func (s *batchScheduler) runBatch(ids []network.SigID, i int) (int, bool) {
 	r := s.r
 	nw := r.nw
 
-	// Phase A (serial): rebuild the pass index for the current epoch, then
-	// refresh the signature/cone tables once for the whole batch — commits
-	// mark them dirty, so this is the per-batch replacement for the serial
-	// driver's per-node Refresh. The index is built first so both tables
-	// reuse its fanout/topo snapshots (RefreshScoped) instead of
-	// recomputing the O(V+E) adjacency a second and third time; the
-	// deferred NetHash refold is safe here because batching never runs
-	// under ExtendedGDC, the only config whose trial keys read it. Then
-	// scan members until a claim conflict, an over-cap footprint, the
+	// Phase A (serial): rebuild the pass index for the current epoch (its
+	// fanout snapshot serves the footprints and the sweep's TFO marks),
+	// then scan members until a claim conflict, an over-cap footprint, the
 	// window cap, or the end of the pass.
-	ix := r.ev.index(nw)
-	if r.sigTab != nil {
-		r.sigTab.RefreshScoped(ix.fanouts, ix.topoIDs)
-	}
-	if r.coneTab != nil {
-		r.st.CacheInvalidated += r.coneTab.RefreshScoped(ix.fanouts, ix.topoIDs)
-	}
-	s.fanouts = ix.fanouts
+	s.fanouts = r.ev.index(nw).fanouts
 	s.members = s.members[:0]
 	s.claimReset()
 	claiming := 0
@@ -269,12 +249,11 @@ scan:
 	return took, s.sweep()
 }
 
-// buildMember extracts member m's cones and precomputes its candidate list,
-// filter verdicts, and cache keys. ok=false flags an over-cap footprint.
+// buildMember extracts member m's cones and precomputes its candidate list.
+// ok=false flags an over-cap footprint.
 func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) (*batchMember, bool) {
 	r := s.r
 	nw := r.nw
-	opt := r.opt
 	m := &batchMember{pos: pos, id: id, trialSeq: trialSeq{f: f}}
 
 	s.arena.Reset()
@@ -295,22 +274,11 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) (*batc
 	if len(cands) == 0 {
 		return m, true
 	}
-	sf := newSimSigFilter(nw, f, r.cc, opt)
-	if sf != nil {
-		for _, x := range m.tfo {
-			for _, fi := range nw.FaninIDsOf(x) {
-				if !nw.IsPIID(fi) {
-					m.side = append(m.side, fi)
-				}
-			}
-		}
-	}
 	m.candIDs = make([]network.SigID, len(cands))
 	for ci, c := range cands {
 		m.candIDs[ci], _ = nw.IDOf(c.name)
 	}
-	m.trialSeq = newTrialSeq(f, cands, sf)
-	m.prepare(nw, opt, r.tc, 0, len(cands))
+	m.trialSeq = newTrialSeq(f, cands)
 	return m, true
 }
 
@@ -322,17 +290,14 @@ func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 	m.hasPlan = m.drive(sc, r.nw, r.opt, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			m.cur = i
-			m.runSlot(sc, r.nw, i, r.opt, r.tc)
+			sl := &m.slots[i]
+			sl.p, sl.ok = planPair(sc, r.nw, m.f, m.cands[i], r.opt)
 		}
 	}, func(p plan) bool {
 		m.plan = p
 		return true
 	})
-	for i := range m.slots[:m.consumed] {
-		if !m.slots[i].filtered {
-			m.spec++
-		}
-	}
+	m.spec = m.consumed
 	if m.cur == len(m.cands) {
 		m.spec++ // the pooled attempt is speculation too
 	}
@@ -365,12 +330,6 @@ func (s *batchScheduler) sweep() bool {
 			continue
 		}
 		r.st.SpeculatedTrials += m.spec
-		// Publish the buffered cache stores before this member's slot runs:
-		// entries are keyed by batch-start cones, so they either still match
-		// (and replay the byte-identical outcome the store captured) or can
-		// never match again — and an eviction re-run below gets to replay
-		// them instead of re-trialing.
-		m.publish(r.tc)
 		if s.evict(m) {
 			r.st.ConflictEvictions++
 			if m.hasPlan {
@@ -382,21 +341,21 @@ func (s *batchScheduler) sweep() bool {
 			continue
 		}
 		if !m.hasPlan {
-			m.tally(r.st, r.tc != nil)
+			m.tally(r.st)
 			continue
 		}
 		if r.commit(m.plan) {
 			changed = true
 			r.st.BatchCommits++
 			s.committed++
-			m.tally(r.st, r.tc != nil)
+			m.tally(r.st)
 			continue
 		}
 		r.st.DiscardedPlans++
 		if m.plan.pooled {
 			// A pooled plan follows the full candidate scan, so the scan
 			// stands and a failed pooled commit ends the node.
-			m.tally(r.st, r.tc != nil)
+			m.tally(r.st)
 		} else if r.substituteNode(m.id) {
 			// The serial driver keeps scanning candidates after a failed
 			// commit; the serial re-run tallies its own trials.
@@ -424,13 +383,6 @@ func (s *batchScheduler) evict(m *batchMember) bool {
 	for _, d := range m.candIDs { // E2
 		if s.coneDirty(d) {
 			return true
-		}
-	}
-	if m.sf != nil { // E3
-		for _, x := range m.side {
-			if s.coneDirty(x) {
-				return true
-			}
 		}
 	}
 	if m.hasPlan && !m.plan.isNode() {

@@ -38,9 +38,8 @@ import (
 // undone byte-exactly (the node's previous fanins/cover, or a whole-network
 // snapshot, are restored verbatim), so the state plan k+1 was evaluated
 // against is the state it commits against. (The greedy rule still re-runs
-// the rest of such a wave: the rejected commit leaves the cone table stale
-// for the rest of the dividend, and the re-run sees the cache keys exactly
-// as a one-worker run does, which keeps the trial counters invariant.)
+// the rest of such a wave, as a one-worker run does, which keeps the trial
+// counters worker-invariant.)
 
 // plan is one evaluated division candidate, as pure data: the gain it
 // achieves and the replacement that realizes it. Exactly one of the two
@@ -65,8 +64,7 @@ type plan struct {
 	// extracting the delta when work is an overlay, copying wholesale when it
 	// is a deep clone — and invalidates the touched node names in the pass
 	// caches. core names the node extended division added when it decomposed
-	// the divisor ("" when none) — the trial cache stores work plans as
-	// {f, d, core} deltas.
+	// the divisor ("" when none); the overlay audit compares it with f and d.
 	work    trialNet
 	touched []string
 	core    string
@@ -121,6 +119,70 @@ func auditOverlayTrial(sc *scratch, got plan, gotOK bool, site string, run func(
 	if err := comparePlans(got, gotOK, want, wantOK); err != nil {
 		panic(fmt.Sprintf("core: overlay audit: %s: %v", site, err))
 	}
+}
+
+// comparePlans reports the first divergence between an overlay-path plan
+// (got) and its clone-path re-run (want), or nil when they agree.
+func comparePlans(got plan, gotOK bool, want plan, wantOK bool) error {
+	if gotOK != wantOK {
+		return fmt.Errorf("overlay ok=%v, clone ok=%v", gotOK, wantOK)
+	}
+	if !gotOK {
+		return nil
+	}
+	if got.gain != want.gain {
+		return fmt.Errorf("overlay gain=%d, clone gain=%d", got.gain, want.gain)
+	}
+	if got.pos != want.pos || got.dec != want.dec || got.removed != want.removed {
+		return fmt.Errorf("overlay form (pos=%v dec=%v removed=%d) != clone (pos=%v dec=%v removed=%d)",
+			got.pos, got.dec, got.removed, want.pos, want.dec, want.removed)
+	}
+	if got.isNode() != want.isNode() {
+		return fmt.Errorf("overlay isNode=%v, clone isNode=%v", got.isNode(), want.isNode())
+	}
+	if got.isNode() {
+		if err := compareNodeFn(got.newFanins, got.newCover, want.newFanins, want.newCover); err != nil {
+			return fmt.Errorf("node rewrite: %v", err)
+		}
+		return nil
+	}
+	for _, name := range []string{got.target, got.divisor, got.core} {
+		if name == "" {
+			continue
+		}
+		gn, wn := got.work.Node(name), want.work.Node(name)
+		if (gn == nil) != (wn == nil) {
+			return fmt.Errorf("work node %q present=%v, clone present=%v", name, gn != nil, wn != nil)
+		}
+		if gn == nil {
+			continue
+		}
+		if err := compareNodeFn(gn.Fanins, gn.Cover, wn.Fanins, wn.Cover); err != nil {
+			return fmt.Errorf("work node %q: %v", name, err)
+		}
+	}
+	return nil
+}
+
+func compareNodeFn(gotFanins []string, gotCover cube.Cover, wantFanins []string, wantCover cube.Cover) error {
+	if len(gotFanins) != len(wantFanins) {
+		return fmt.Errorf("fanin count %d != %d", len(gotFanins), len(wantFanins))
+	}
+	for i := range gotFanins {
+		if gotFanins[i] != wantFanins[i] {
+			return fmt.Errorf("fanin %d: %q != %q", i, gotFanins[i], wantFanins[i])
+		}
+	}
+	if gotCover.NumVars() != wantCover.NumVars() || gotCover.NumCubes() != wantCover.NumCubes() {
+		return fmt.Errorf("cover shape %dv/%dc != %dv/%dc",
+			gotCover.NumVars(), gotCover.NumCubes(), wantCover.NumVars(), wantCover.NumCubes())
+	}
+	for i := range gotCover.Cubes {
+		if !gotCover.Cubes[i].Equal(wantCover.Cubes[i]) {
+			return fmt.Errorf("cube %d differs", i)
+		}
+	}
+	return nil
 }
 
 // planPairImpl is planPair's trial body; sc.noOverlay/sc.pin are set by the
@@ -318,7 +380,8 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 			// p.touched is only the {f, d} summary and extended division can
 			// rewrite nodes beyond the pair. A name missed here keeps a
 			// complement cover cached over its OLD fanin space, and the next
-			// filter probe indexes the new (shorter) fanin list with it.
+			// candidate enumeration indexes the new (shorter) fanin list
+			// with it.
 			for _, n := range ov.Added() {
 				cc.invalidate(nw, n.Name)
 				sigs.invalidate(n.Name)
@@ -368,8 +431,7 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 		}
 		// An overlay plan commits by applying its recorded delta to the live
 		// network — byte-identical to copying a materialized clone, but
-		// O(delta), and only the touched signals go dirty in the sig/cone
-		// tables. A clone plan (NoOverlay, or pooled division's cross-node
+		// O(delta). A clone plan (NoOverlay, or pooled division's cross-node
 		// path, which needs Sweep) still commits by wholesale copy.
 		if ov, ok := p.work.(*network.Overlay); ok {
 			if err := ov.ApplyTo(nw); err != nil {
@@ -408,149 +470,38 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 	return true
 }
 
-// trialSlot is one candidate's slot in a trial sequence: the serial side's
-// preparation (filter verdict, cache key, Audit fingerprint) and the
-// worker's result.
+// trialSlot is one candidate's slot in a trial sequence: the worker's
+// result.
 type trialSlot struct {
 	p  plan
 	ok bool
-	// filtered marks a candidate rejected by the simulation-signature
-	// prefilter: planPair never ran (no clone, no netlist, no implication
-	// engine). A filtered candidate is one whose trial was guaranteed to
-	// produce no committable (positive-gain) plan, so downstream the slot
-	// behaves exactly like ok=false: the reducer would have skipped it.
-	filtered bool
-	// cached marks a result replayed from the trial memoization cache:
-	// planPair never ran, but p/ok are byte-identical to what it would have
-	// produced, so the slot still counts as a divisor trial in the stats.
-	cached bool
-	// collided marks a cache hit rejected by the Options.Audit structural
-	// fingerprint cross-check (two distinct cones on one cache key); the
-	// trial then ran for real and its store overwrites the colliding entry.
-	collided bool
-
-	// key (valid when keyOK) is the trial-cache key, derived serially
-	// against the pre-dispatch cones. Under Options.Audit every cache hit is
-	// also collision-checked against fing, an independently seeded
-	// structural fingerprint of the two cones (see network.ConeFingerprint):
-	// a 128-bit key collision would replay the wrong verdict, and the
-	// byte-level auditCachedHit replay would then panic on an honest hash
-	// accident. The fingerprint check runs first and degrades a mismatch to
-	// a real trial instead.
-	key     trialKey
-	keyOK   bool
-	fing    [2]network.ConeHash
-	hasFing bool
-	// store is the slot's buffered store intent: the trial ran for real
-	// under a valid key, and publish has not yet memoized its outcome.
-	store bool
 }
 
 // trialSeq is one dividend's trial sequence: its candidates in trial order
 // and one slot each. Both schedules drive it through the same loop (drive)
-// and the same three slot steps — prepare (serial), runSlot (on a worker),
-// publish (serial). The serial driver builds one sequence per dividend and
-// runs it in waves; the batch scheduler builds one per member, prepared in
-// phase A, run in phase B and published at the member's sweep slot.
+// and run each slot through planPair. The serial driver builds one sequence
+// per dividend and runs it in waves; the batch scheduler builds one per
+// member in phase A and runs it in phase B.
 type trialSeq struct {
 	f     string
 	cands []candidate
-	sf    *simSigFilter // nil = prefilter off
 	slots []trialSlot
 
 	// consumed is the number of slots a one-worker run evaluates: the
 	// accepted slot + 1, or every slot when nothing commits (or under
-	// BestGain). Only slots[:consumed] are tallied and published.
+	// BestGain). Only slots[:consumed] are tallied.
 	consumed int
-	// tail and tailPlans count the admitted slots a wave ran beyond the
-	// slot it stopped at, and the positive-gain plans among them: wave
-	// speculation, reported as SpeculatedTrials and DiscardedPlans.
+	// tail and tailPlans count the slots a wave ran beyond the slot it
+	// stopped at, and the positive-gain plans among them: wave speculation,
+	// reported as SpeculatedTrials and DiscardedPlans.
 	tail, tailPlans int
 	// cur is the slot in progress on a batch member's worker, for panic
 	// attribution; drive parks it at len(cands) for the pooled attempt.
 	cur int
 }
 
-func newTrialSeq(f string, cands []candidate, sf *simSigFilter) trialSeq {
-	return trialSeq{f: f, cands: cands, sf: sf, slots: make([]trialSlot, len(cands))}
-}
-
-// prepare is the serial half of slots [lo, hi): the signature-filter
-// verdict (the filter is not thread-safe) and, for admitted candidates
-// while the trial cache is on (tc != nil), the cache key and Audit
-// fingerprint. It takes the live network concretely (not as a Reader): the
-// key derivation and the fingerprints need the cone machinery only
-// *Network carries.
-func (q *trialSeq) prepare(nw *network.Network, opt Options, tc *TrialCache, lo, hi int) {
-	var ct *network.ConeTable
-	var fFing network.ConeHash
-	if tc != nil {
-		ct = nw.Cones()
-		if opt.Audit {
-			fFing = nw.ConeFingerprint(q.f)
-		}
-	}
-	for i := lo; i < hi; i++ {
-		c := q.cands[i]
-		s := &q.slots[i]
-		*s = trialSlot{}
-		if !q.sf.admits(c) {
-			s.filtered = true
-			continue
-		}
-		if tc == nil {
-			continue
-		}
-		if k, ok := trialCacheKey(ct, q.f, c, opt); ok {
-			s.key, s.keyOK = k, true
-			if opt.Audit {
-				s.fing, s.hasFing = [2]network.ConeHash{fFing, nw.ConeFingerprint(c.name)}, true
-			}
-		}
-	}
-}
-
-// runSlot is the worker half of slot i: a cache hit (after the Audit
-// collision check) replays the stored result — re-run for real and compared
-// under Audit — and anything else runs planPair and buffers the outcome as
-// the slot's store intent. The cache content runSlot reads is frozen while
-// any slot runs, because stores publish only on the serial side, so the
-// verdict never depends on worker interleaving.
-func (q *trialSeq) runSlot(sc *scratch, nw network.Reader, i int, opt Options, tc *TrialCache) {
-	s := &q.slots[i]
-	if s.filtered {
-		return
-	}
-	c := q.cands[i]
-	if s.keyOK {
-		if e, hit := tc.lookup(s.key); hit {
-			if s.hasFing && e.hasFing && e.fing != s.fing {
-				s.collided = true // fall through to a real trial
-			} else if p, pOK, usable := e.replay(nw, q.f, c.name, opt.NoOverlay); usable {
-				if opt.Audit {
-					auditCachedHit(sc, nw, q.f, c, opt, p, pOK)
-				}
-				s.p, s.ok, s.cached = p, pOK, true
-				return
-			}
-		}
-	}
-	s.p, s.ok = planPair(sc, nw, q.f, c, opt)
-	s.store = s.keyOK
-}
-
-// publish memoizes the buffered store intents of the consumed slots in slot
-// order (there are none while the cache is off). Entry data is deep-copied
-// by store, so it must run before any slot's plan commits. Stores of slots
-// past consumed are dropped: they are keyed on the dividend's pre-commit
-// cone, so they could never match again.
-func (q *trialSeq) publish(tc *TrialCache) {
-	for i := range q.slots[:q.consumed] {
-		if s := &q.slots[i]; s.store {
-			tc.store(s.key, s.p, s.ok, s.fing, s.hasFing)
-			s.store = false
-		}
-	}
+func newTrialSeq(f string, cands []candidate) trialSeq {
+	return trialSeq{f: f, cands: cands, slots: make([]trialSlot, len(cands))}
 }
 
 // positive reports whether slot i holds a committable (positive-gain) plan.
@@ -600,11 +551,9 @@ func (q *trialSeq) drive(sc *scratch, nw network.Reader, opt Options, width int,
 					continue
 				}
 				for j := i + 1; j < hi; j++ {
-					if !q.slots[j].filtered {
-						q.tail++
-						if q.positive(j) {
-							q.tailPlans++
-						}
+					q.tail++
+					if q.positive(j) {
+						q.tailPlans++
 					}
 				}
 				q.consumed = i + 1
@@ -626,41 +575,10 @@ func (q *trialSeq) drive(sc *scratch, nw network.Reader, opt Options, width int,
 	return false
 }
 
-// tally folds the consumed slots into the statistics: filtered slots count
-// as signature rejections (no exact trial ran); the rest count as divisor
-// trials, and — when the filter was active — as filter passes, with the
-// failed ones among them recorded as false passes. Cached slots are still
-// divisor trials (the verdict was consumed; the sig-filter arithmetic
-// DivisorTrials + SigFilterReject is unchanged by caching) but are
-// additionally tallied as cache hits; the rest count as misses while the
-// cache is active. The wave tail goes to the speculation counters.
-//
-//bdslint:hotpath
-func (q *trialSeq) tally(st *Stats, cacheOn bool) {
-	for i := range q.slots[:q.consumed] {
-		s := &q.slots[i]
-		if s.filtered {
-			st.SigFilterReject++
-			continue
-		}
-		st.DivisorTrials++
-		if cacheOn {
-			if s.cached {
-				st.CacheHits++
-			} else {
-				st.CacheMisses++
-				if s.collided {
-					st.CacheCollisions++
-				}
-			}
-		}
-		if q.sf != nil {
-			st.SigFilterPass++
-			if !q.positive(i) {
-				st.SigFilterFalsePass++
-			}
-		}
-	}
+// tally folds the consumed slots into the statistics as divisor trials,
+// and the wave tail into the speculation counters.
+func (q *trialSeq) tally(st *Stats) {
+	st.DivisorTrials += q.consumed
 	st.SpeculatedTrials += q.tail
 	st.DiscardedPlans += q.tailPlans
 }
@@ -695,21 +613,13 @@ func newEvaluator(workers int) *evaluator {
 	return ev
 }
 
-// wave runs slots [lo, hi) of q as one wave against nw: prepare serially,
-// then run the admitted slots on the pool. Filtered slots never reach the
-// pool, so a wave with at most one admitted slot runs inline.
-func (ev *evaluator) wave(nw *network.Network, q *trialSeq, lo, hi int, opt Options, tc *TrialCache) {
-	q.prepare(nw, opt, tc, lo, hi)
-	todo := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		if !q.slots[i].filtered {
-			todo = append(todo, i)
-		}
-	}
-	ev.pool(nw, len(todo), func(sc *scratch, k int) {
-		q.runSlot(sc, nw, todo[k], opt, tc)
+// wave runs slots [lo, hi) of q as one wave against nw on the pool.
+func (ev *evaluator) wave(nw *network.Network, q *trialSeq, lo, hi int, opt Options) {
+	ev.pool(nw, hi-lo, func(sc *scratch, k int) {
+		s := &q.slots[lo+k]
+		s.p, s.ok = planPair(sc, nw, q.f, q.cands[lo+k], opt)
 	}, func(k int) (string, string) {
-		return q.f, q.cands[todo[k]].name
+		return q.f, q.cands[lo+k].name
 	})
 }
 

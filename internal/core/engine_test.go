@@ -12,28 +12,44 @@ import (
 	"repro/internal/verify"
 )
 
-// substituteBothWays runs Substitute serially and with an 8-worker pool on
-// clones of base and asserts the committed networks are byte-identical
-// (BLIF-serialized) and the statistics equal up to workerNormalized.
-// Returns the serial result for further checks.
+// substituteBothWays runs Substitute at Workers 1, 2 and 8, with batch
+// scheduling on and off, on clones of base. It asserts the committed
+// networks are byte-identical (BLIF-serialized) across all six runs and,
+// within one batch mode, the statistics equal up to workerNormalized.
+// Returns the serial batch-on result for further checks.
 func substituteBothWays(t *testing.T, base *network.Network, opt Options, label string) *network.Network {
 	t.Helper()
-	serial := base.Clone()
-	optSerial := opt
-	optSerial.Workers = 1
-	stS := Substitute(serial, optSerial)
-	par := base.Clone()
-	optPar := opt
-	optPar.Workers = 8
-	stP := Substitute(par, optPar)
-	if a, b := blif.ToString(serial), blif.ToString(par); a != b {
-		t.Fatalf("%s: Workers=8 diverged from Workers=1\nserial (stats %+v):\n%s\nparallel (stats %+v):\n%s",
-			label, stS, a, stP, b)
+	var want *network.Network
+	for _, noBatch := range []bool{false, true} {
+		var wantSt Stats
+		for _, workers := range []int{1, 2, 8} {
+			o := opt
+			o.Workers, o.NoBatch = workers, noBatch
+			nw := base.Clone()
+			st := workerNormalized(Substitute(nw, o))
+			if want == nil {
+				want = nw
+			} else if a, b := blif.ToString(want), blif.ToString(nw); a != b {
+				t.Fatalf("%s: Workers=%d batch=%v diverged from Workers=1 batch=true\nwant:\n%s\ngot (stats %+v):\n%s",
+					label, workers, !noBatch, a, st, b)
+			}
+			if workers == 1 {
+				wantSt = st
+			} else if !reflect.DeepEqual(st, wantSt) {
+				t.Errorf("%s: batch=%v stats at Workers=%d diverged beyond the worker-variant counters:\nserial   %+v\nparallel %+v",
+					label, !noBatch, workers, wantSt, st)
+			}
+		}
 	}
-	if a, b := workerNormalized(stS), workerNormalized(stP); !reflect.DeepEqual(a, b) {
-		t.Errorf("%s: stats diverged beyond the worker-variant counters:\nserial   %+v\nparallel %+v", label, a, b)
-	}
-	return serial
+	return want
+}
+
+// workerNormalized zeroes the Stats fields allowed to differ across worker
+// counts: wall time and the speculation counters.
+func workerNormalized(st Stats) Stats {
+	st.PassTimes = nil
+	st.SpeculatedTrials, st.DiscardedPlans = 0, 0
+	return st
 }
 
 func TestSubstituteParallelMatchesSerial(t *testing.T) {
@@ -47,6 +63,16 @@ func TestSubstituteParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+	// Three-pass runs under Audit: every commit is Check-audited and every
+	// overlay trial re-run on the clone path.
+	r = rand.New(rand.NewSource(97531))
+	for trial := 0; trial < 4; trial++ {
+		base := randomDAG(r, 4, 7)
+		for _, cfg := range []Config{Basic, Extended, ExtendedGDC} {
+			substituteBothWays(t, base, Options{Config: cfg, POS: true, Pool: true, MaxPasses: 3, Audit: true}, "audit")
+		}
+	}
+	substituteBothWays(t, gainNetwork(), Options{Config: Basic, POS: true, Pool: true, MaxPasses: 3, Audit: true}, "gain-audit")
 }
 
 func TestSubstituteParallelMatchesSerialVariants(t *testing.T) {
@@ -79,35 +105,28 @@ func TestStatsAccumulate(t *testing.T) {
 // TestStatsAccumulateAssociative: folding (a then b) then c equals folding a
 // then (b accumulated with c) — the property that lets a multi-call flow
 // (script.ResubRARWith across passes, the experiment harness across cells)
-// merge stats in any grouping. Exercised with every counter populated,
-// including the trial-cache fields this property must extend to.
+// merge stats in any grouping. Exercised with every live counter populated.
 func TestStatsAccumulateAssociative(t *testing.T) {
 	mk := func(k int) Stats {
 		return Stats{
-			Substitutions:      k,
-			POSSubstitutions:   2 * k,
-			Decompositions:     3 * k,
-			WiresRemoved:       4 * k,
-			LitsBefore:         100 + k,
-			LitsAfter:          90 + k,
-			DivisorTrials:      5 * k,
-			SigFilterReject:    6 * k,
-			SigFilterPass:      7 * k,
-			SigFilterFalsePass: 8 * k,
-			DepthRejected:      9 * k,
-			SigCacheHits:       10 * k,
-			SigCacheMisses:     11 * k,
-			CacheHits:          12 * k,
-			CacheMisses:        13 * k,
-			CacheInvalidated:   14 * k,
-			ComplCacheHits:     15 * k,
-			ComplCacheMisses:   16 * k,
-			SpeculatedTrials:   17 * k,
-			DiscardedPlans:     18 * k,
-			BatchCommits:       19 * k,
-			ConflictEvictions:  20 * k,
-			Passes:             k,
-			PassTimes:          []time.Duration{time.Duration(k) * time.Millisecond},
+			Substitutions:     k,
+			POSSubstitutions:  2 * k,
+			Decompositions:    3 * k,
+			WiresRemoved:      4 * k,
+			LitsBefore:        100 + k,
+			LitsAfter:         90 + k,
+			DivisorTrials:     5 * k,
+			DepthRejected:     9 * k,
+			SigCacheHits:      10 * k,
+			SigCacheMisses:    11 * k,
+			ComplCacheHits:    15 * k,
+			ComplCacheMisses:  16 * k,
+			SpeculatedTrials:  17 * k,
+			DiscardedPlans:    18 * k,
+			BatchCommits:      19 * k,
+			ConflictEvictions: 20 * k,
+			Passes:            k,
+			PassTimes:         []time.Duration{time.Duration(k) * time.Millisecond},
 		}
 	}
 	a, b, c := mk(1), mk(2), mk(3)
@@ -126,8 +145,8 @@ func TestStatsAccumulateAssociative(t *testing.T) {
 	if !reflect.DeepEqual(left, right) {
 		t.Errorf("Accumulate is not associative:\n(a+b)+c = %+v\na+(b+c) = %+v", left, right)
 	}
-	if left.CacheHits != 12*6 || left.CacheMisses != 13*6 || left.CacheInvalidated != 14*6 {
-		t.Errorf("cache counters not summed: %+v", left)
+	if left.DivisorTrials != 5*6 || left.ConflictEvictions != 20*6 {
+		t.Errorf("counters not summed: %+v", left)
 	}
 }
 
@@ -142,6 +161,9 @@ func TestSubstituteObservabilityCounters(t *testing.T) {
 	}
 	if st.SigCacheHits+st.SigCacheMisses == 0 {
 		t.Errorf("no signature cache traffic recorded: %+v", st)
+	}
+	if st.SigFilterReject+st.SigFilterPass+st.CacheHits+st.CacheMisses != 0 {
+		t.Errorf("deprecated counters must stay 0: %+v", st)
 	}
 }
 

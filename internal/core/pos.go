@@ -92,7 +92,7 @@ func posDivide(sc *scratch, nw network.Reader, f, d string, cfg Config, maxCompl
 }
 
 // complEntry is one node's slot in the complement cache: the complement
-// cover, its minimized form (signature prefilter), its literal signatures
+// cover, its minimized form (POS candidates), its literal signatures
 // (candidate enumeration), and the bad mark (complement too big, zero, or
 // node gone). The has* flags distinguish "never computed" from a cached
 // zero value.

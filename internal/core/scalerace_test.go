@@ -44,7 +44,6 @@ func TestSubstituteBatchScaleRace(t *testing.T) {
 		// is what the race detector needs to see.
 		Config:           Basic,
 		WindowDepth:      3,
-		NoSigFilter:      true,
 		MaxPasses:        1,
 		MaxDivisorTrials: 8,
 	}

@@ -52,25 +52,6 @@ type Options struct {
 	// GOMAXPROCS). The committed network is bit-identical at any worker
 	// count; only wall time changes.
 	Workers int
-	// NoSigFilter disables the simulation-signature divisor prefilter. The
-	// filter (on by default) skips exact division trials whose signature
-	// necessary condition fails — it can only skip trials that would not
-	// have produced a committable (positive-gain) plan, so the committed
-	// network is bit-identical either way; only the trial count and wall
-	// time change (see sigfilter.go).
-	NoSigFilter bool
-	// TrialCache supplies a shared trial memoization cache (see
-	// trialcache.go): division-trial outcomes keyed by the canonical
-	// structural fingerprint of the trial, replayed on a hit without the
-	// clone/netlist/implication work. nil = the run creates a private cache
-	// (entries live across that run's passes); supply one explicitly to
-	// share proven trials across Substitute calls. The cache is
-	// result-invisible: the committed network is bit-identical with the
-	// cache on or off, at any worker count.
-	TrialCache *TrialCache
-	// NoTrialCache disables trial memoization entirely (the `-nocache`
-	// flag). Only trial counts and wall time change; the result does not.
-	NoTrialCache bool
 	// NoBatch disables the cone-disjoint batch scheduler (batch.go): every
 	// dividend is then planned and committed one node at a time — the
 	// historical schedule, in which extra workers only widen a node's trial
@@ -91,12 +72,12 @@ type Options struct {
 	// Audit cross-check enforce it), so this is an escape hatch and the
 	// audit reference, not a tuning knob.
 	NoOverlay bool
-	// Audit runs network.Check after every committed substitution, re-runs
-	// every trial-cache hit for real, and re-runs every overlay-path trial
-	// on the deep-clone path, panicking unless the plans match
-	// byte-for-byte. The audits are O(network)/O(trial), so this is a
-	// debugging/testing mode, not a production default; the integration
-	// tests and the fuzz harness enable it.
+	// Audit runs network.Check after every committed substitution and
+	// re-runs every overlay-path trial on the deep-clone path, panicking
+	// unless the plans match byte-for-byte. The audits are
+	// O(network)/O(trial), so this is a debugging/testing mode, not a
+	// production default; the integration tests and the fuzz harness
+	// enable it.
 	Audit bool
 	// Clock supplies the wall-clock reads behind Stats.PassTimes (nil =
 	// WallClock). Timing is reporting-only — no engine decision reads it —
@@ -117,52 +98,36 @@ type Stats struct {
 	WiresRemoved int
 	// LitsBefore/LitsAfter are factored-form literal totals.
 	LitsBefore, LitsAfter int
-	// DivisorTrials counts exact division plans actually evaluated —
-	// candidates the signature prefilter rejected are not included (they are
-	// counted in SigFilterReject). Like every trial, filter and trial-cache
+	// DivisorTrials counts exact division plans evaluated. Like every trial
 	// counter it is the same at any worker count: only the trials a
 	// one-worker run evaluates are tallied (wave trials past the committed
 	// one are SpeculatedTrials).
 	DivisorTrials int
-	// SigFilterReject counts candidates the simulation-signature prefilter
-	// rejected: trials skipped without building a netlist or running
-	// implications. SigFilterPass counts candidates that passed the filter
-	// while it was active, and SigFilterFalsePass counts the passed
-	// candidates whose exact trial then produced no committable
-	// (positive-gain) plan anyway — the filter's false-pass population
-	// (passes − false passes yielded a commit-worthy plan).
-	SigFilterReject, SigFilterPass, SigFilterFalsePass int
+	// Deprecated: SigFilterReject and SigFilterPass are always 0. The
+	// simulation-signature prefilter they counted was removed because it
+	// cost more than the trials it skipped; the fields remain so existing
+	// readers of Stats keep compiling, and JSON output omits them.
+	SigFilterReject, SigFilterPass int `json:"-"`
 	// DepthRejected counts plans whose commit was undone because the result
 	// exceeded Options.DepthBudget.
 	DepthRejected int
 	// SigCacheHits/SigCacheMisses count lookups of per-node cube literal
 	// signatures during candidate filtering.
 	SigCacheHits, SigCacheMisses int
-	// CacheHits counts divisor trials replayed from the trial memoization
-	// cache (no clone, netlist, or implication run — but still counted in
-	// DivisorTrials, since the verdict was consumed). CacheMisses counts
-	// trials that ran for real while the cache was active. CacheInvalidated
-	// totals the cone-hash entries committed rewrites changed or dropped
-	// (ConeTable.Refresh's changed count): the number of structural keys
-	// each commit killed, 0 for the initial hash computation.
-	CacheHits, CacheMisses, CacheInvalidated int
-	// CacheCollisions counts trial-cache hits rejected under Options.Audit
-	// because the entry's structural cone fingerprint (an independently
-	// seeded recomputation — network.ConeFingerprint) disagreed with the
-	// current cones: two distinct cones folded onto one 128-bit cache key.
-	// The colliding hit degrades to a real trial, so a collision costs
-	// correctness nothing; a nonzero count is the signal that the cone-hash
-	// width is being stressed.
-	CacheCollisions int
+	// Deprecated: CacheHits and CacheMisses are always 0. The cross-pass
+	// trial memoization cache they counted was removed: it did not pay end
+	// to end, and its key missed the dividend's fanout structure, which a
+	// trial reads. The fields remain so existing readers of Stats keep
+	// compiling, and JSON output omits them.
+	CacheHits, CacheMisses int `json:"-"`
 	// ComplCacheHits/ComplCacheMisses count memoized complement-cover
 	// lookups (POS and complement-phase filtering).
 	ComplCacheHits, ComplCacheMisses int
 	// SpeculatedTrials counts trial verdicts produced ahead of the serial
-	// schedule: divisor trials (cache replays included) and pooled trials
-	// the batch scheduler evaluated against a batch-start snapshot before
-	// the sweep decided whether their dividend's speculation was still
-	// valid, and admitted wave slots past the slot the serial driver
-	// stopped at. With the complement-cache counters and PassTimes, the
+	// schedule: divisor trials and pooled trials the batch scheduler
+	// evaluated against a batch-start snapshot before the sweep decided
+	// whether their dividend's speculation was still valid, and wave slots
+	// past the slot the serial driver stopped at. With PassTimes, the
 	// speculation counters are the only Stats fields that vary with
 	// Workers.
 	SpeculatedTrials int
@@ -200,16 +165,9 @@ func (s *Stats) Accumulate(o Stats) {
 	s.Decompositions += o.Decompositions
 	s.WiresRemoved += o.WiresRemoved
 	s.DivisorTrials += o.DivisorTrials
-	s.SigFilterReject += o.SigFilterReject
-	s.SigFilterPass += o.SigFilterPass
-	s.SigFilterFalsePass += o.SigFilterFalsePass
 	s.DepthRejected += o.DepthRejected
 	s.SigCacheHits += o.SigCacheHits
 	s.SigCacheMisses += o.SigCacheMisses
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.CacheInvalidated += o.CacheInvalidated
-	s.CacheCollisions += o.CacheCollisions
 	s.ComplCacheHits += o.ComplCacheHits
 	s.ComplCacheMisses += o.ComplCacheMisses
 	s.SpeculatedTrials += o.SpeculatedTrials
@@ -220,36 +178,15 @@ func (s *Stats) Accumulate(o Stats) {
 	s.PassTimes = append(s.PassTimes, o.PassTimes...)
 }
 
-// FalsePassRate is the fraction of filter-passed candidates whose exact
-// trial found no division anyway (0 when the filter never passed anything).
-// Low is good: the signature test predicted trial failure well.
-func (s *Stats) FalsePassRate() float64 {
-	if s.SigFilterPass == 0 {
-		return 0
-	}
-	return float64(s.SigFilterFalsePass) / float64(s.SigFilterPass)
-}
-
-// CacheHitRate is the fraction of cache-consulted trials served from the
-// trial memoization cache (0 when the cache never saw a trial).
-func (s *Stats) CacheHitRate() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
-}
-
 // Substitute runs Boolean substitution over the whole network with the
 // paper's locally greedy acceptance: for each node, divisors are tried in a
 // deterministic order and the first division with a positive factored-
 // literal gain is committed. Passes repeat until a fixed point (bounded by
 // MaxPasses).
 //
-// Trials are evaluated by the plan/commit engine (see engine.go). Every
-// candidate goes through one trial sequence: the serial side prepares its
-// filter verdict and cache key, a worker replays a cache hit or runs the
-// real trial against a read-only view, and the serial side publishes the
-// cache stores. One select-and-commit loop (trialSeq.drive) picks the plan
+// Trials are evaluated by the plan/commit engine (see engine.go): every
+// candidate's trial runs on a worker against a read-only view of the
+// network. One select-and-commit loop (trialSeq.drive) picks the plan
 // for every dividend, and two schedules drive it through one bounded worker
 // pool. The batch scheduler (batch.go) runs whole trial sequences of
 // cone-disjoint dividends in parallel and commits the survivors in a serial
@@ -282,31 +219,6 @@ func Substitute(nw *network.Network, opt Options) Stats {
 	}
 	st := Stats{LitsBefore: nw.FactoredLits()}
 
-	// Simulation signatures for the divisor prefilter: enabled on the live
-	// network for the duration of the run, refreshed incrementally after
-	// commits (only a committed rewrite's transitive fanout is recomputed).
-	var sigTab *network.SigTable
-	if !opt.NoSigFilter {
-		sigTab = nw.EnableSigs()
-		defer nw.DisableSigs()
-	}
-
-	// Trial memoization (see trialcache.go): structural cone hashes on the
-	// live network key a worker-shared cache of trial outcomes. A private
-	// cache still pays off — entries survive across the run's passes, and
-	// most second-pass trials replay. Invalidation is implicit: Refresh
-	// recomputes the hashes a commit changed, so stale keys never match.
-	var tc *TrialCache
-	var coneTab *network.ConeTable
-	if !opt.NoTrialCache {
-		tc = opt.TrialCache
-		if tc == nil {
-			tc = NewTrialCache()
-		}
-		coneTab = nw.EnableCones()
-		defer nw.DisableCones()
-	}
-
 	// The complement and signature caches survive across passes: commits
 	// invalidate every touched name (the same mechanism that keeps them
 	// correct across commits within a pass), so entries for untouched nodes
@@ -322,9 +234,6 @@ func Substitute(nw *network.Network, opt Options) Stats {
 		st:        &st,
 		cc:        cc,
 		sigs:      sigs,
-		tc:        tc,
-		sigTab:    sigTab,
-		coneTab:   coneTab,
 	}
 	// The cone-disjoint batch scheduler (batch.go) speculates whole groups
 	// of cone-disjoint dividends per worker dispatch and commits the
@@ -385,9 +294,6 @@ type run struct {
 	st        *Stats
 	cc        *complCache
 	sigs      *sigCache
-	tc        *TrialCache
-	sigTab    *network.SigTable
-	coneTab   *network.ConeTable
 	sched     *batchScheduler // nil = batch scheduling off
 }
 
@@ -432,30 +338,11 @@ func (r *run) substituteNode(id network.SigID) bool {
 		return false
 	}
 	f := fn.Name
-	cands := r.candidates(f)
-	// The candidate list above is fixed before filtering: the
-	// signature prefilter only short-circuits trials inside it (it
-	// never reorders or reveals extra candidates), which is what
-	// keeps the committed network identical with the filter off.
-	var sf *simSigFilter
-	if len(cands) > 0 {
-		if r.sigTab != nil {
-			r.sigTab.Refresh()
-		}
-		if r.coneTab != nil {
-			r.st.CacheInvalidated += r.coneTab.Refresh()
-		}
-		sf = newSimSigFilter(nw, f, r.cc, opt)
-	}
-	q := newTrialSeq(f, cands, sf)
+	q := newTrialSeq(f, r.candidates(f))
 	committed := q.drive(ev.scratches[0], nw, opt, ev.workers, func(lo, hi int) {
-		ev.wave(nw, &q, lo, hi, opt, r.tc)
-	}, func(p plan) bool {
-		q.publish(r.tc)
-		return r.commit(p)
-	})
-	q.publish(r.tc)
-	q.tally(r.st, r.tc != nil)
+		ev.wave(nw, &q, lo, hi, opt)
+	}, r.commit)
+	q.tally(r.st)
 	return committed
 }
 

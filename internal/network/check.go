@@ -3,8 +3,8 @@ package network
 // Runtime structural checker: the dynamic half of the invariant suite
 // (internal/analysis is the static half). Check audits everything the
 // engine's correctness argument leans on — acyclicity, name uniqueness,
-// cover canonicity, order/defs agreement, symbol-table/fanin-ID lockstep,
-// signature-table consistency — and returns the first violation. blif.Parse
+// cover canonicity, order/defs agreement, symbol-table/fanin-ID lockstep —
+// and returns the first violation. blif.Parse
 // runs it on every parsed network, the fuzz harness runs it on every corpus
 // input, and the engine runs it after every committed substitution when
 // Options.Audit is set.
@@ -29,8 +29,6 @@ import (
 //     list and no cube is empty or sized to a different space
 //   - the node graph is acyclic (explicit DFS — a cycle is reported as an
 //     error with its path, never a panic)
-//   - the signature table, when enabled, is consistent with the structure
-//     (see checkSigs)
 //
 // It returns the first violation found, or nil.
 func (nw *Network) Check() error {
@@ -122,13 +120,7 @@ func (nw *Network) Check() error {
 		}
 	}
 
-	if err := nw.checkAcyclic(); err != nil {
-		return err
-	}
-	if err := nw.checkSigs(); err != nil {
-		return err
-	}
-	return nw.checkCones()
+	return nw.checkAcyclic()
 }
 
 // checkNode audits one node's fanin list, fanin-ID lockstep, and cover
@@ -218,111 +210,6 @@ func (nw *Network) checkAcyclic() error {
 		if err := visit(name); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// checkSigs audits the signature table against the structure. Always: every
-// primary input must carry a pattern signature. When the table is clean (no
-// pending dirty marks) the deep audit also recomputes every node's
-// signature from its fanins' stored signatures and compares — a mismatch
-// means an edit path forgot to mark its target dirty, exactly the class of
-// bug that silently corrupts the divisor prefilter. While dirty marks are
-// pending, stored signatures are stale by design (callers Refresh before
-// reading), so only the shallow audit applies.
-func (nw *Network) checkSigs() error {
-	t := nw.sigs
-	if t == nil {
-		return nil
-	}
-	for i := range nw.pis {
-		if i >= len(t.piPat) {
-			return fmt.Errorf("network %q: sig table missing primary input %q", nw.Name, nw.piNames[i])
-		}
-	}
-	if t.allDirty || len(t.dirtyList) > 0 {
-		return nil
-	}
-	// Clean table: stored signatures must cover exactly the computable
-	// nodes and agree with a fresh evaluation over their fanins.
-	for id := range t.known {
-		if t.known[id] && !nw.piMark[id] && nw.defs[id] == nil {
-			return fmt.Errorf("network %q: sig table holds removed node %q", nw.Name, nw.sym.Name(SigID(id)))
-		}
-	}
-	val := make([]uint64, nw.sym.Len())
-	for _, id := range nw.TopoOrderIDs() {
-		n := nw.defs[id]
-		fids := nw.faninIDs[id]
-		var want Signature
-		computable := true
-		for w := 0; w < SigWords && computable; w++ {
-			for _, f := range fids {
-				if int(f) >= len(t.known) || !t.known[f] {
-					computable = false
-					break
-				}
-				val[f] = t.sig[f][w]
-			}
-			if computable {
-				want[w] = evalCoverIDs(n.Cover, fids, val)
-			}
-		}
-		ok := int(id) < len(t.known) && t.known[id]
-		if !computable {
-			if ok {
-				return fmt.Errorf("network %q: sig table holds uncomputable node %q", nw.Name, n.Name)
-			}
-			continue
-		}
-		if !ok {
-			return fmt.Errorf("network %q: sig table missing node %q while clean", nw.Name, n.Name)
-		}
-		if t.sig[id] != want {
-			return fmt.Errorf("network %q: stale signature for %q: stored %x, recomputed %x — an edit path missed markDirty", nw.Name, n.Name, t.sig[id], want)
-		}
-	}
-	return nil
-}
-
-// checkCones audits the cone-hash table against the structure, mirroring
-// checkSigs: when the table is clean, every live node must carry a stored
-// hash equal to a fresh recomputation over its fanins' stored hashes, no
-// removed node may linger, and the whole-network digest must refold to the
-// stored value. A mismatch means an edit path forgot to mark its target
-// dirty — the class of bug that would let the trial memoization cache
-// replay a verdict against a cone that has since changed. While dirty marks
-// are pending, stored hashes are stale by design.
-func (nw *Network) checkCones() error {
-	t := nw.cones
-	if t == nil {
-		return nil
-	}
-	if t.allDirty || len(t.dirtyList) > 0 {
-		return nil
-	}
-	for id := range t.known {
-		if t.known[id] && !nw.piMark[id] && nw.defs[id] == nil {
-			return fmt.Errorf("network %q: cone table holds removed node %q", nw.Name, nw.sym.Name(SigID(id)))
-		}
-	}
-	for _, id := range nw.TopoOrderIDs() {
-		if int(id) >= len(t.known) || !t.known[id] {
-			return fmt.Errorf("network %q: cone table missing node %q while clean", nw.Name, nw.defs[id].Name)
-		}
-		if want := t.compute(id, nw.defs[id]); t.h[id] != want {
-			return fmt.Errorf("network %q: stale cone hash for %q: stored %x, recomputed %x — an edit path missed markDirty", nw.Name, nw.defs[id].Name, t.h[id], want)
-		}
-	}
-	if t.netDirty {
-		// A RefreshScoped deferred the net refold; the stored digest is
-		// stale by design until NetHash or Refresh refolds it.
-		return nil
-	}
-	net := t.net
-	t.refoldNet()
-	if t.net != net {
-		return fmt.Errorf("network %q: stale whole-network cone digest: stored %x, refolded %x", nw.Name, net, t.net)
 	}
 	return nil
 }

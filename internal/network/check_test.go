@@ -138,65 +138,16 @@ func TestCheckCycle(t *testing.T) {
 	})
 }
 
-func TestCheckSigTableStale(t *testing.T) {
-	// A clean signature table whose stored value disagrees with a fresh
-	// evaluation means some edit path missed markDirty — the divisor
-	// prefilter would silently run on stale simulation data.
-	corrupt(t, "stale signature", func(nw *Network) {
-		tab := nw.EnableSigs()
-		tab.Refresh()
-		tab.sig[mustID(t, nw, "g")][0] ^= 1
-	})
-}
-
-func TestCheckSigTableRemovedNode(t *testing.T) {
-	corrupt(t, "removed node", func(nw *Network) {
-		tab := nw.EnableSigs()
-		tab.Refresh()
-		id := nw.intern("zombie")
-		tab.grow()
-		tab.known[id] = true
-	})
-}
-
-func TestCheckSigTableMissingPI(t *testing.T) {
-	corrupt(t, "missing primary input", func(nw *Network) {
-		tab := nw.EnableSigs()
-		tab.piPat = tab.piPat[:0]
-	})
-}
-
-func TestCheckSigTableDirtySkipsDeepAudit(t *testing.T) {
-	// With dirty marks pending, stored signatures are stale by design
-	// (callers Refresh before reading): the deep audit must not fire.
-	nw := buildSmall()
-	tab := nw.EnableSigs()
-	tab.Refresh()
-	gid := mustID(t, nw, "g")
-	tab.sig[gid][0] ^= 1
-	tab.markDirty(gid)
-	if err := nw.Check(); err != nil {
-		t.Fatalf("Check flagged a stale-but-dirty signature: %v", err)
-	}
-	tab.Refresh()
-	if err := nw.Check(); err != nil {
-		t.Fatalf("Check after Refresh: %v", err)
-	}
-}
-
 func TestCheckAfterEdits(t *testing.T) {
 	// The editing entry points must leave a Check-clean network behind.
 	nw := buildSmall()
-	nw.EnableSigs().Refresh()
 	if !nw.Compose("f", "g") {
 		t.Fatal("Compose refused")
 	}
-	nw.Sigs().Refresh()
 	if err := nw.Check(); err != nil {
 		t.Fatalf("Check after Compose: %v", err)
 	}
 	nw.Sweep()
-	nw.Sigs().Refresh()
 	if err := nw.Check(); err != nil {
 		t.Fatalf("Check after Sweep: %v", err)
 	}

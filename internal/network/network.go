@@ -67,10 +67,8 @@ type Network struct {
 	pis      []SigID
 	piNames  []string // parallel to pis (the PIs() boundary slice)
 	posIDs   []SigID
-	poNames  []string   // parallel to posIDs (the POs() boundary slice)
-	order    []SigID    // node creation order, for deterministic iteration
-	sigs     *SigTable  // simulation signatures (nil unless EnableSigs), see sig.go
-	cones    *ConeTable // structural cone hashes (nil unless EnableCones), see conehash.go
+	poNames  []string // parallel to posIDs (the POs() boundary slice)
+	order    []SigID  // node creation order, for deterministic iteration
 }
 
 // New creates an empty network.
@@ -149,12 +147,6 @@ func (nw *Network) AddNode(name string, fanins []string, cover cube.Cover) *Node
 	nw.defs[id] = n
 	nw.faninIDs[id] = nw.internFanins(fanins)
 	nw.order = append(nw.order, id)
-	if nw.sigs != nil {
-		nw.sigs.markDirty(id)
-	}
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
-	}
 	return n
 }
 
@@ -226,11 +218,6 @@ func (nw *Network) SigName(id SigID) string { return nw.sym.Name(id) }
 //bdslint:hotpath
 func (nw *Network) NodeByID(id SigID) *Node { return nw.defs[id] }
 
-// IsPIID reports whether id is a primary input.
-//
-//bdslint:hotpath
-func (nw *Network) IsPIID(id SigID) bool { return nw.piMark[id] }
-
 // FaninIDsOf returns node id's fanin IDs, parallel to its Fanins slice (do
 // not modify — the slice is shared with clones). Nil for PIs/unknown.
 //
@@ -265,19 +252,11 @@ func (nw *Network) RemoveNode(name string) {
 	}
 	nw.defs[id] = nil
 	nw.faninIDs[id] = nil
-	if nw.sigs != nil {
-		nw.sigs.markDirty(id)
-	}
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
-	}
 }
 
-// Clone deep-copies the network. The signature and cone-hash tables
-// (EnableSigs/EnableCones) are NOT carried over: clones are speculative
-// scratch copies and must not pay for table maintenance. Fanin-ID slices
-// are shared with the original (they are immutable — every mutator installs
-// a fresh slice), so the copy is O(nodes) plus the node bodies.
+// Clone deep-copies the network. Fanin-ID slices are shared with the
+// original (they are immutable — every mutator installs a fresh slice), so
+// the copy is O(nodes) plus the node bodies.
 func (nw *Network) Clone() *Network {
 	c := &Network{
 		Name:     nw.Name,
@@ -313,13 +292,6 @@ func (nw *Network) CopyFrom(o *Network) {
 	nw.posIDs = c.posIDs
 	nw.poNames = c.poNames
 	nw.order = c.order
-	if nw.sigs != nil {
-		// A whole-network rewrite: every signature is suspect.
-		nw.sigs.markAllDirty()
-	}
-	if nw.cones != nil {
-		nw.cones.markAllDirty()
-	}
 }
 
 // FanoutIDs returns, for every signal ID, the node IDs that read it as a
@@ -662,12 +634,6 @@ func (nw *Network) ReplaceNodeFunction(name string, fanins []string, cover cube.
 		}
 	}
 	nw.setNodeFunc(id, n, append([]string(nil), fanins...), cover)
-	if nw.sigs != nil {
-		nw.sigs.markDirty(id)
-	}
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
-	}
 	return nil
 }
 
@@ -698,12 +664,6 @@ func (nw *Network) NormalizeNode(name string) {
 		nc.Add(k)
 	}
 	nw.setNodeFunc(id, n, newFanins, nc)
-	// Semantically invisible (the function is unchanged, so signatures stay
-	// valid) but structurally visible: the cone hash covers the fanin list
-	// and cover bytes.
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
-	}
 }
 
 // SetNodeCover replaces node name's cover in place, keeping its fanin list.
@@ -719,12 +679,6 @@ func (nw *Network) SetNodeCover(name string, cover cube.Cover) {
 		panic(fmt.Sprintf("network: cover space mismatch for %q", name))
 	}
 	n.Cover = cover
-	if nw.sigs != nil {
-		nw.sigs.markDirty(id)
-	}
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
-	}
 }
 
 // FreshName generates an unused signal name with the given prefix. It is a

@@ -175,14 +175,6 @@ func (o *Overlay) NodeByID(id SigID) *Node {
 	return nil
 }
 
-// IsPIID reports whether id is a base primary input (overlay-local IDs
-// never are).
-//
-//bdslint:hotpath
-func (o *Overlay) IsPIID(id SigID) bool {
-	return int(id) < o.baseN && o.base.IsPIID(id)
-}
-
 // FaninIDsOf returns node id's fanin IDs under the overlay. Untouched base
 // nodes share the base's slice (allocation-free, the common case); delta
 // bodies intern on demand.
@@ -426,14 +418,6 @@ func (o *Overlay) FactoredLits() int {
 	}
 	return n
 }
-
-// Sigs returns nil: like a clone, an overlay is a speculative scratch view
-// and carries no signature table (Network.Clone drops it for the same
-// reason).
-func (o *Overlay) Sigs() *SigTable { return nil }
-
-// Cones returns nil — see Sigs.
-func (o *Overlay) Cones() *ConeTable { return nil }
 
 // FreshName generates an unused signal name with the given prefix against
 // the overlay's name space (deleted base names count as free, exactly as

@@ -109,32 +109,6 @@ func (nw *Network) Simulate(piWords map[string]uint64) map[string]uint64 {
 	return out
 }
 
-// evalCoverIDs evaluates one cover bit-parallel given a SigID-indexed word
-// slice (an undriven fanin reads as constant 0, matching the historical
-// missing-map-entry behavior). It walks each cube's phases in place rather
-// than allocating its literal list. It serves the per-node incremental paths
-// (SigTable.Refresh/ObsCare, the signature audit); whole-network simulation
-// goes through SimProgram.
-func evalCoverIDs(f cube.Cover, fanins []SigID, val []uint64) uint64 {
-	var out uint64
-	for _, c := range f.Cubes {
-		w := ^uint64(0)
-		for v, n := 0, c.NumVars(); v < n && w != 0; v++ {
-			switch c.Get(v) {
-			case cube.Pos:
-				w &= val[fanins[v]]
-			case cube.Neg:
-				w &^= val[fanins[v]]
-			}
-		}
-		out |= w
-		if out == ^uint64(0) {
-			break
-		}
-	}
-	return out
-}
-
 // GlobalCover collapses signal name into a cover over the primary inputs,
 // whose variable i corresponds to piOrder[i]. Exponential in the worst case;
 // intended for small cones (verification, don't-care analysis).

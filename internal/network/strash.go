@@ -15,14 +15,6 @@ import (
 // cubes, which resolves ordinary permutations but may miss merges under
 // fully symmetric ties (completeness is best-effort, as in AIG strash
 // packages where XOR/MUX shapes escape the two-input AND table).
-//
-// Strash keys relate to ConeTable hashes as structure to identity: the cone
-// hash includes every NAME in the cone, so renaming a signal changes it,
-// while the strash key sees only representative IDs and cover bits, so two
-// differently-named but structurally identical cones collide (that is the
-// point). The trial memoization cache keys on cone hashes; Strash and
-// ConeFingerprint give the audit path an independent structural view to
-// cross-examine those keys.
 
 // StrashTable is the result of one Network.Strash pass: a representative
 // SigID per signal. PIs and undriven signals represent themselves; a node
@@ -114,58 +106,4 @@ func (nw *Network) canonKey(buf []byte, id SigID, rep []SigID) []byte {
 		buf = append(buf, r...)
 	}
 	return buf
-}
-
-// ConeFingerprint returns an independently seeded structural digest of
-// signal name's transitive fanin cone — the same information the ConeTable
-// hash absorbs (names, fanin lists, exact cover cubes), folded under a
-// different domain tag so its collision behavior is independent of the
-// cache-key hash. The trial memoization cache uses it under Options.Audit:
-// a cache hit whose stored fingerprint disagrees with the current cone's is
-// a cone-hash collision, not a legitimate replay.
-func (nw *Network) ConeFingerprint(name string) ConeHash {
-	id, ok := nw.sym.Lookup(name)
-	if !ok {
-		return undrivenHash(name)
-	}
-	memo := make(map[SigID]ConeHash)
-	var fp func(SigID) ConeHash
-	fp = func(id SigID) ConeHash {
-		if h, ok := memo[id]; ok {
-			return h
-		}
-		n := nw.defs[id]
-		var h ConeHash
-		switch {
-		case nw.piMark[id]:
-			d := newConeDigest(tagFinger)
-			d.str(nw.sym.Name(id))
-			h = d.sum()
-		case n == nil:
-			d := newConeDigest(tagFinger + 1)
-			d.str(nw.sym.Name(id))
-			h = d.sum()
-		default:
-			d := newConeDigest(tagFinger + 2)
-			d.str(n.Name)
-			d.word(uint64(len(n.Fanins)))
-			for i, f := range n.Fanins {
-				d.str(f)
-				d.hash(fp(nw.faninIDs[id][i]))
-			}
-			d.word(uint64(n.Cover.NumVars()))
-			d.word(uint64(n.Cover.NumCubes()))
-			for _, c := range n.Cover.Cubes {
-				lits := c.Lits()
-				d.word(uint64(len(lits)))
-				for _, v := range lits {
-					d.word(uint64(v)<<2 | uint64(c.Get(v)))
-				}
-			}
-			h = d.sum()
-		}
-		memo[id] = h
-		return h
-	}
-	return fp(id)
 }

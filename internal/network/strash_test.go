@@ -87,32 +87,3 @@ func TestStrashNoFalseMergeOnRename(t *testing.T) {
 		}
 	}
 }
-
-func TestConeFingerprintSeesNamesAndStructure(t *testing.T) {
-	nw := buildTwinCones()
-	// Deterministic.
-	if nw.ConeFingerprint("h1") != nw.ConeFingerprint("h1") {
-		t.Error("fingerprint not deterministic")
-	}
-	// Unlike strash, the fingerprint absorbs names: the structurally
-	// identical twin cone fingerprints differently.
-	if nw.ConeFingerprint("h1") == nw.ConeFingerprint("h2") {
-		t.Error("differently named twin cones share a fingerprint")
-	}
-	// And unlike the cache key, it is independent of the ConeTable seed
-	// family: same cone, different digest.
-	ct := nw.EnableCones()
-	h, ok := ct.Hash("h1")
-	if !ok {
-		t.Fatal("no cone hash for h1")
-	}
-	if h == nw.ConeFingerprint("h1") {
-		t.Error("fingerprint equals the cone hash — seeds are not independent")
-	}
-	// Structure changes move it.
-	before := nw.ConeFingerprint("h1")
-	nw.SetNodeCover("g1", cube.ParseCover(2, "a + b"))
-	if nw.ConeFingerprint("h1") == before {
-		t.Error("cover rewrite under the cone did not change the fingerprint")
-	}
-}

@@ -44,19 +44,10 @@ type Reader interface {
 	Levels() (map[string]int, int)
 	// FactoredLits returns the factored-form literal total.
 	FactoredLits() int
-	// Sigs returns the network's simulation-signature table, or nil when
-	// signatures are not enabled. Between the owner's serial Refresh calls
-	// the table's read methods are pure, so concurrent planners may share it.
-	Sigs() *SigTable
-	// Cones returns the network's structural cone-hash table, or nil when
-	// cone hashing is not enabled. Like Sigs, pure reads between the owner's
-	// serial Refresh calls.
-	Cones() *ConeTable
 	// FreshName returns an unused signal name with the given prefix — a pure
 	// probe against the current name space (it reserves nothing).
 	FreshName(prefix string) string
-	// Clone deep-copies the network into a private mutable copy (without the
-	// signature and cone-hash tables — see Network.Clone).
+	// Clone deep-copies the network into a private mutable copy.
 	Clone() *Network
 
 	// --- Dense-ID surface -------------------------------------------------
@@ -72,8 +63,6 @@ type Reader interface {
 	SigName(id SigID) string
 	// NodeByID returns the node driving signal id, or nil (read-only).
 	NodeByID(id SigID) *Node
-	// IsPIID reports whether id is a primary input.
-	IsPIID(id SigID) bool
 	// FaninIDsOf returns node id's fanin IDs, parallel to its Fanins slice
 	// (do not modify). Nil for PIs/unknown.
 	FaninIDsOf(id SigID) []SigID
