@@ -61,19 +61,16 @@ func basicDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (*Divi
 // BasicDivideCompl divides node f by the COMPLEMENT of node d: the quotient
 // cubes receive a negative divisor literal, f = q·d' + r. This covers the
 // complement phase the SIS `resub -d` baseline exploits, with the same RAR
-// redundancy removal making it Boolean. maxCompl bounds the divisor
-// complement size (0 = default).
-func BasicDivideCompl(nw network.Reader, f, d string, cfg Config, maxCompl int) (*DivideResult, bool) {
-	return basicDivideCompl(newScratch(), nw, f, d, cfg, maxCompl, nil)
+// redundancy removal making it Boolean. Divisors whose complement exceeds
+// DefaultMaxComplementCubes cubes are skipped.
+func BasicDivideCompl(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
+	return basicDivideCompl(newScratch(), nw, f, d, cfg, nil)
 }
 
 // basicDivideCompl is BasicDivideCompl with an explicit scratch arena.
 // pre, when non-nil, is d's complement carried from candidate enumeration
 // (byte-identical to recomputing it — see candidate).
-func basicDivideCompl(sc *scratch, nw network.Reader, f, d string, cfg Config, maxCompl int, pre *cube.Cover) (*DivideResult, bool) {
-	if maxCompl <= 0 {
-		maxCompl = DefaultMaxComplementCubes
-	}
+func basicDivideCompl(sc *scratch, nw network.Reader, f, d string, cfg Config, pre *cube.Cover) (*DivideResult, bool) {
 	fn, dn := nw.Node(f), nw.Node(d)
 	if fn == nil || dn == nil || f == d {
 		return nil, false
@@ -89,7 +86,7 @@ func basicDivideCompl(sc *scratch, nw network.Reader, f, d string, cfg Config, m
 		dc = *pre // already checked non-zero and within bound by complCache
 	} else {
 		dc = dn.Cover.Complement()
-		if dc.IsZero() || dc.NumCubes() > maxCompl {
+		if dc.IsZero() || dc.NumCubes() > DefaultMaxComplementCubes {
 			return nil, false
 		}
 	}

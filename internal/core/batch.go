@@ -283,19 +283,16 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) (*batc
 }
 
 // runMember runs member m's trial sequence through the shared driver
-// against the frozen batch-start network on one worker, one slot at a time.
-// Its accept only records the plan: the sweep commits it.
+// against the frozen batch-start network on one worker, one slot at a time,
+// and records the selected plan: the sweep commits it.
 func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 	r := s.r
-	m.hasPlan = m.drive(sc, r.nw, r.opt, 1, func(lo, hi int) {
+	m.plan, m.hasPlan = m.drive(sc, r.nw, r.opt, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			m.cur = i
 			sl := &m.slots[i]
 			sl.p, sl.ok = planPair(sc, r.nw, m.f, m.cands[i], r.opt)
 		}
-	}, func(p plan) bool {
-		m.plan = p
-		return true
 	})
 	m.spec = m.consumed
 	if m.cur == len(m.cands) {
@@ -344,23 +341,11 @@ func (s *batchScheduler) sweep() bool {
 			m.tally(r.st)
 			continue
 		}
-		if r.commit(m.plan) {
-			changed = true
-			r.st.BatchCommits++
-			s.committed++
-			m.tally(r.st)
-			continue
-		}
-		r.st.DiscardedPlans++
-		if m.plan.pooled {
-			// A pooled plan follows the full candidate scan, so the scan
-			// stands and a failed pooled commit ends the node.
-			m.tally(r.st)
-		} else if r.substituteNode(m.id) {
-			// The serial driver keeps scanning candidates after a failed
-			// commit; the serial re-run tallies its own trials.
-			changed = true
-		}
+		r.commit(m.plan)
+		changed = true
+		r.st.BatchCommits++
+		s.committed++
+		m.tally(r.st)
 	}
 	s.sweeping = false
 	return changed
@@ -461,9 +446,9 @@ func (s *batchScheduler) precommit(p *plan) commitMarks {
 	return cm
 }
 
-// postcommit completes the marks after a successful commit: added names
-// resolve to IDs now, surviving touched nodes contribute their new fanins,
-// and every touched signal's transitive fanout goes cone-dirty. The TFO
+// postcommit completes the marks after a commit: added names resolve to
+// IDs now, surviving touched nodes contribute their new fanins, and every
+// touched signal's transitive fanout goes cone-dirty. The TFO
 // walk runs on the batch-start fanout snapshot; that is complete because
 // the only edges a commit changes point INTO its touched nodes — any
 // post-state fanout path not in the snapshot passes through a node touched

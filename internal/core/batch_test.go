@@ -217,7 +217,7 @@ func TestCandidateEnumerationEquivalence(t *testing.T) {
 		for _, cfg := range []Config{Basic, Extended} {
 			opt := Options{Config: cfg, POS: true}
 			sigs := newSigCache(nw)
-			cc := newComplCache(DefaultMaxComplementCubes)
+			cc := newComplCache()
 			for _, f := range nw.SortedNodeNames() {
 				fast := candidateDivisors(nw, sigs, cc, f, opt, ix)
 				slow := candidateDivisors(nw, sigs, cc, f, opt, nil)

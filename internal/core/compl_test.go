@@ -19,7 +19,7 @@ func TestBasicDivideComplFindsComplementPhase(t *testing.T) {
 	nw.AddNode("f", []string{"a", "b", "c"}, cube.ParseCover(3, "a'b' + c"))
 	nw.AddPO("f")
 	nw.AddPO("d")
-	res, ok := BasicDivideCompl(nw, "f", "d", Basic, 0)
+	res, ok := BasicDivideCompl(nw, "f", "d", Basic)
 	if !ok {
 		t.Fatal("complement-phase division failed")
 	}
@@ -51,7 +51,7 @@ func TestBasicDivideComplRejectsNoContainment(t *testing.T) {
 	nw.AddNode("f", []string{"a", "b", "c"}, cube.ParseCover(3, "ab + c"))
 	nw.AddPO("f")
 	nw.AddPO("d")
-	if _, ok := BasicDivideCompl(nw, "f", "d", Basic, 0); ok {
+	if _, ok := BasicDivideCompl(nw, "f", "d", Basic); ok {
 		t.Error("division should fail without complement containment")
 	}
 }
@@ -66,7 +66,7 @@ func TestPropBasicDivideComplSound(t *testing.T) {
 		}
 		f := names[r.Intn(len(names))]
 		d := names[r.Intn(len(names))]
-		res, ok := BasicDivideCompl(nw, f, d, Basic, 0)
+		res, ok := BasicDivideCompl(nw, f, d, Basic)
 		if !ok {
 			continue
 		}

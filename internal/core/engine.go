@@ -20,26 +20,23 @@ import (
 //	            runs on a private clone, and per-worker scratch arenas hold
 //	            all reusable buffers. Plans are therefore evaluable
 //	            concurrently.
-//	reducer   — trialSeq.drive, the one select-and-commit loop both
-//	            schedules share: walks completed plans in the deterministic
+//	reducer   — trialSeq.drive, the one select loop both schedules
+//	            share: walks completed plans in the deterministic
 //	            candidate order (the order a one-worker run tries them in)
 //	            and picks which plan to commit, so the result is
 //	            bit-identical at any worker count.
 //	committer — applies the chosen plan to the live network serially,
-//	            invalidates the pass caches, enforces the depth budget, and
-//	            updates statistics.
+//	            invalidates the pass caches, and updates statistics. A
+//	            commit always sticks: nothing in the engine undoes one.
 //
 // Determinism argument: a plan captures the full replacement (node function
 // or whole rewritten network) and its gain, computed from the pre-commit
-// network state. The reducer visits plans in candidate order; committing
-// plan k and then consulting plan k+1 is equivalent to the serial schedule
-// because (a) a successful commit ends the node's trials exactly as the
-// serial first-positive rule does, and (b) a depth-rejected commit is
-// undone byte-exactly (the node's previous fanins/cover, or a whole-network
-// snapshot, are restored verbatim), so the state plan k+1 was evaluated
-// against is the state it commits against. (The greedy rule still re-runs
-// the rest of such a wave, as a one-worker run does, which keeps the trial
-// counters worker-invariant.)
+// network state. The reducer visits plans in candidate order and commits
+// the first positive-gain one (or, under BestGain, the best one once every
+// slot has run). That is the serial schedule: a commit ends the node's
+// trials exactly as the serial first-positive rule does, and every plan the
+// reducer consulted before it was evaluated against the state it would
+// have committed against, because nothing committed in between.
 
 // plan is one evaluated division candidate, as pure data: the gain it
 // achieves and the replacement that realizes it. Exactly one of the two
@@ -54,7 +51,6 @@ type plan struct {
 	pos     bool   // plan is a POS-form substitution
 	dec     bool   // plan decomposes the divisor
 	removed int    // RAR wire removals performed by the division
-	pooled  bool   // plan is a pooled division: exempt from Options.DepthBudget
 
 	// Node-function rewrite (work == nil).
 	newFanins []string
@@ -211,14 +207,14 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 	}
 
 	if cand.neg {
-		res, ok := basicDivideCompl(sc, nwd, f, d, opt.Config, opt.MaxComplementCubes, cand.dCompl)
+		res, ok := basicDivideCompl(sc, nwd, f, d, opt.Config, cand.dCompl)
 		if !ok {
 			return plan{}, false
 		}
 		return nodePlan(res, false), true
 	}
 	if cand.pos {
-		res, ok := posDivide(sc, nwd, f, d, opt.Config, opt.MaxComplementCubes, cand.fComplMin, cand.dComplMin)
+		res, ok := posDivide(sc, nwd, f, d, opt.Config, cand.fComplMin, cand.dComplMin)
 		if !ok {
 			return plan{}, false
 		}
@@ -352,103 +348,56 @@ func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate,
 		gain:    before - after,
 		dec:     dec != nil,
 		removed: res.WiresRemoved,
-		pooled:  true,
 		work:    work,
 		touched: names,
 	}, true
 }
 
 // commitPlan is the serial committer: it applies a plan to the live
-// network, invalidates the pass caches for every name the plan touches,
-// enforces the depth budget when set (undoing the commit byte-exactly on
-// violation), and updates statistics. Returns whether the plan stuck.
-// Pooled plans historically bypass the depth budget: they only run when
-// nothing else committed.
-func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *sigCache, st *Stats) bool {
-	budget := opt.DepthBudget
-	if p.pooled {
-		budget = 0
-	}
-	invalidate := func() {
-		if p.isNode() {
-			cc.invalidate(nw, p.target)
-			sigs.invalidate(p.target)
-			return
-		}
-		if ov, ok := p.work.(*network.Overlay); ok {
-			// The overlay's recorded delta is the complete rewrite set —
-			// p.touched is only the {f, d} summary and extended division can
-			// rewrite nodes beyond the pair. A name missed here keeps a
-			// complement cover cached over its OLD fanin space, and the next
-			// candidate enumeration indexes the new (shorter) fanin list
-			// with it.
-			for _, n := range ov.Added() {
-				cc.invalidate(nw, n.Name)
-				sigs.invalidate(n.Name)
-			}
-			for _, n := range ov.Changed() {
-				cc.invalidate(nw, n.Name)
-				sigs.invalidate(n.Name)
-			}
-			for _, name := range ov.Deleted() {
-				cc.invalidate(nw, name)
-				sigs.invalidate(name)
-			}
-			return
-		}
-		// Clone commit (CopyFrom): the rewrite set is not enumerable from
-		// the plan — the pooled path's Sweep can delete dead nodes p.touched
-		// never lists — so drop everything.
-		cc.reset()
-		sigs.reset()
-	}
-
+// network, invalidates the pass caches for every name the plan touches, and
+// updates statistics. A plan is evaluated against the state it commits
+// against, so applying it cannot fail; if it does, that is an engine bug,
+// and commitPlan panics naming the dividend and divisor.
+func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *sigCache, st *Stats) {
 	if p.isNode() {
-		// Snapshot for undo only when a depth budget can reject the commit.
-		var oldFanins []string
-		var oldCover cube.Cover
-		if budget > 0 {
-			old := nw.Node(p.target)
-			oldFanins = append([]string(nil), old.Fanins...)
-			oldCover = old.Cover.Clone()
+		if err := commitNode(nw, p.target, p.newFanins, p.newCover); err != nil {
+			panic(fmt.Sprintf("core: commit f=%s d=%s: %v", p.target, p.divisor, err))
 		}
-		if !commitNode(nw, p.target, p.newFanins, p.newCover) {
-			return false
-		}
-		invalidate()
-		if budget > 0 {
-			if _, depth := nw.Levels(); depth > budget {
-				_ = nw.ReplaceNodeFunction(p.target, oldFanins, oldCover)
-				invalidate()
-				st.DepthRejected++
-				return false
-			}
-		}
-	} else {
-		var snapshot *network.Network
-		if budget > 0 {
-			snapshot = nw.Clone()
-		}
+		cc.invalidate(nw, p.target)
+		sigs.invalidate(p.target)
+	} else if ov, ok := p.work.(*network.Overlay); ok {
 		// An overlay plan commits by applying its recorded delta to the live
 		// network — byte-identical to copying a materialized clone, but
-		// O(delta). A clone plan (NoOverlay, or pooled division's cross-node
-		// path, which needs Sweep) still commits by wholesale copy.
-		if ov, ok := p.work.(*network.Overlay); ok {
-			if err := ov.ApplyTo(nw); err != nil {
-				panic("core: overlay commit: " + err.Error())
-			}
-		} else {
-			nw.CopyFrom(p.work.(*network.Network))
+		// O(delta).
+		if err := ov.ApplyTo(nw); err != nil {
+			panic("core: overlay commit: " + err.Error())
 		}
-		invalidate()
-		if budget > 0 {
-			if _, depth := nw.Levels(); depth > budget {
-				nw.CopyFrom(snapshot)
-				invalidate()
-				st.DepthRejected++
-				return false
-			}
+		// The overlay's recorded delta is the complete rewrite set —
+		// p.touched is only the {f, d} summary and extended division can
+		// rewrite nodes beyond the pair. A name missed here keeps a
+		// complement cover cached over its OLD fanin space, and the next
+		// candidate enumeration indexes the new (shorter) fanin list with
+		// it.
+		for _, n := range ov.Added() {
+			cc.invalidate(nw, n.Name)
+			sigs.invalidate(n.Name)
 		}
+		for _, n := range ov.Changed() {
+			cc.invalidate(nw, n.Name)
+			sigs.invalidate(n.Name)
+		}
+		for _, name := range ov.Deleted() {
+			cc.invalidate(nw, name)
+			sigs.invalidate(name)
+		}
+	} else {
+		// A clone plan (NoOverlay, or pooled division's cross-node path,
+		// which needs Sweep) commits by wholesale copy. Its rewrite set is
+		// not enumerable from the plan — the pooled path's Sweep can delete
+		// dead nodes p.touched never lists — so drop every cache entry.
+		nw.CopyFrom(p.work.(*network.Network))
+		cc.reset()
+		sigs.reset()
 	}
 
 	st.Substitutions++
@@ -467,7 +416,6 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 			panic("core: post-commit audit: " + err.Error())
 		}
 	}
-	return true
 }
 
 // trialSlot is one candidate's slot in a trial sequence: the worker's
@@ -488,7 +436,7 @@ type trialSeq struct {
 	slots []trialSlot
 
 	// consumed is the number of slots a one-worker run evaluates: the
-	// accepted slot + 1, or every slot when nothing commits (or under
+	// selected slot + 1, or every slot when no slot is selected (or under
 	// BestGain). Only slots[:consumed] are tallied.
 	consumed int
 	// tail and tailPlans count the slots a wave ran beyond the slot it
@@ -510,42 +458,32 @@ func (q *trialSeq) positive(i int) bool {
 	return s.ok && s.p.gain > 0
 }
 
-// drive is the one select-and-commit loop every dividend runs through, in
-// both schedules. run executes slots [lo, hi) — a wave on the evaluator's
-// pool in the serial driver, one slot at a time on the member's worker in
-// a batch — and accept tries to commit a plan. Plans are offered under one
-// rule: the first positive-gain slot in slot order (the paper's greedy
-// rule), or, under Options.BestGain, once every slot has run, each
-// positive-gain slot in gain-descending order (ties to the earlier slot).
-// A refused plan (a depth-budget rejection, undone byte-exactly) passes the
-// turn: BestGain offers the next best; the greedy rule resumes at the next
-// slot, re-running the rest of the wave as a one-worker run would. Only
-// when nothing commits is the pooled fallback planned on sc and offered.
-// drive reports whether accept took a plan.
-func (q *trialSeq) drive(sc *scratch, nw network.Reader, opt Options, width int, run func(lo, hi int), accept func(p plan) bool) bool {
+// drive is the one select loop every dividend runs through, in both
+// schedules. run executes slots [lo, hi) — a wave on the evaluator's pool in
+// the serial driver, one slot at a time on the member's worker in a batch.
+// drive returns the plan to commit: the first positive-gain slot in slot
+// order (the paper's greedy rule), or, under Options.BestGain, once every
+// slot has run, the highest-gain slot (ties to the earlier slot). Only when
+// no slot has a positive gain is the pooled fallback planned on sc and
+// returned. ok=false when there is nothing to commit.
+func (q *trialSeq) drive(sc *scratch, nw network.Reader, opt Options, width int, run func(lo, hi int)) (plan, bool) {
 	n := len(q.slots)
 	q.consumed = n
 	if opt.BestGain {
 		run(0, n)
-		order := make([]int, 0, n)
+		best := -1
 		for i := range q.slots {
-			if q.positive(i) {
-				order = append(order, i)
+			if q.positive(i) && (best < 0 || q.slots[i].p.gain > q.slots[best].p.gain) {
+				best = i
 			}
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return q.slots[order[a]].p.gain > q.slots[order[b]].p.gain
-		})
-		for _, i := range order {
-			if accept(q.slots[i].p) {
-				return true
-			}
+		if best >= 0 {
+			return q.slots[best].p, true
 		}
 	} else {
-		for lo := 0; lo < n; {
+		for lo := 0; lo < n; lo += width {
 			hi := min(lo+width, n)
 			run(lo, hi)
-			next := hi
 			for i := lo; i < hi; i++ {
 				if !q.positive(i) {
 					continue
@@ -557,22 +495,15 @@ func (q *trialSeq) drive(sc *scratch, nw network.Reader, opt Options, width int,
 					}
 				}
 				q.consumed = i + 1
-				if accept(q.slots[i].p) {
-					return true // paper: take the first positive-gain division
-				}
-				q.consumed, next = n, i+1
-				break
+				return q.slots[i].p, true // paper: take the first positive-gain division
 			}
-			lo = next
 		}
 	}
 	if opt.Pool && opt.Config != Basic {
 		q.cur = n
-		if p, ok := planPooled(sc, nw, q.f, q.cands, opt); ok {
-			return accept(p)
-		}
+		return planPooled(sc, nw, q.f, q.cands, opt)
 	}
-	return false
+	return plan{}, false
 }
 
 // tally folds the consumed slots into the statistics as divisor trials,
@@ -590,12 +521,10 @@ func (q *trialSeq) tally(st *Stats) {
 type evaluator struct {
 	workers   int
 	scratches []*scratch
-	// epoch counts live-network mutation attempts. Each scratch tags its
-	// memoized shared base build with the epoch it was built in (see
+	// epoch counts live-network commits. Each scratch tags its memoized
+	// shared base build with the epoch it was built in (see
 	// scratch.baseBuild), so no base is ever patched after the network it
-	// snapshots may have changed. Even a depth-rejected commit — undone
-	// byte-exactly — bumps it: one redundant rebuild is cheaper than
-	// reasoning about undo fidelity here.
+	// snapshots may have changed.
 	epoch uint64
 	// idx is the lazily rebuilt per-epoch graph index (fanouts + topo
 	// positions) shared read-only with workers; see passIndex.
@@ -678,10 +607,10 @@ func (ev *evaluator) pool(nw *network.Network, n int, task func(sc *scratch, i i
 // stamping it into every scratch, so each one's memoized base build of the
 // live network is invalidated before the network can change. No worker runs
 // while the serial side commits, so it may write the scratches here.
-func (ev *evaluator) commit(nw *network.Network, p plan, opt Options, cc *complCache, sigs *sigCache, st *Stats) bool {
+func (ev *evaluator) commit(nw *network.Network, p plan, opt Options, cc *complCache, sigs *sigCache, st *Stats) {
 	ev.epoch++
 	for _, sc := range ev.scratches {
 		sc.epoch = ev.epoch
 	}
-	return commitPlan(nw, p, opt, cc, sigs, st)
+	commitPlan(nw, p, opt, cc, sigs, st)
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/blif"
+	"repro/internal/cube"
 	"repro/internal/network"
 	"repro/internal/verify"
 )
@@ -77,14 +79,11 @@ func TestSubstituteParallelMatchesSerial(t *testing.T) {
 
 func TestSubstituteParallelMatchesSerialVariants(t *testing.T) {
 	// Option corners where the reducer schedule differs from the plain
-	// first-positive walk: best-gain acceptance, depth-budget rejection
-	// (commit-undo inside a wave), and windowed trials.
+	// first-positive walk: best-gain acceptance and windowed trials.
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4; trial++ {
 		base := randomDAG(r, 4, 7)
-		_, depth := base.Levels()
 		substituteBothWays(t, base, Options{Config: Extended, POS: true, BestGain: true}, "bestgain")
-		substituteBothWays(t, base, Options{Config: Extended, POS: true, DepthBudget: depth}, "depthbudget")
 		substituteBothWays(t, base, Options{Config: Extended, POS: true, WindowDepth: 2}, "window")
 	}
 	substituteBothWays(t, gainNetwork(), Options{Config: Basic}, "gain")
@@ -116,7 +115,6 @@ func TestStatsAccumulateAssociative(t *testing.T) {
 			LitsBefore:        100 + k,
 			LitsAfter:         90 + k,
 			DivisorTrials:     5 * k,
-			DepthRejected:     9 * k,
 			SigCacheHits:      10 * k,
 			SigCacheMisses:    11 * k,
 			ComplCacheHits:    15 * k,
@@ -190,5 +188,33 @@ func TestPoolReraisesLowestPanic(t *testing.T) {
 		if got != want {
 			t.Errorf("workers %d: panic %q, want %q", w, got, want)
 		}
+	}
+}
+
+// TestCommitPlanPanicsWithAttribution pins the committer's failure
+// contract: a plan the live network cannot take is an engine bug, so
+// commitPlan panics naming the dividend and divisor instead of dropping the
+// plan silently. The plan rewrites f over h, which lies in f's transitive
+// fanout, so installing it would close a cycle.
+func TestCommitPlanPanicsWithAttribution(t *testing.T) {
+	nw := gainNetwork()
+	nw.AddNode("h", []string{"f", "c"}, cube.ParseCover(2, "ab"))
+	nw.AddPO("h")
+	p := plan{
+		target:    "f",
+		divisor:   "h",
+		gain:      1,
+		newFanins: []string{"h", "c"},
+		newCover:  cube.ParseCover(2, "ab"),
+	}
+	const want = "core: commit f=f d=h: "
+	got := func() (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		var st Stats
+		commitPlan(nw, p, Options{}, newComplCache(), newSigCache(nw), &st)
+		return ""
+	}()
+	if !strings.HasPrefix(got, want) || !strings.Contains(got, "cycle") {
+		t.Fatalf("panic %q, want prefix %q naming the cycle", got, want)
 	}
 }

@@ -9,7 +9,7 @@ import "repro/internal/network"
 // substitution driver paid that per *dividend* (TFOSetIDs inside candidate
 // enumeration) and per *trial* (the topo walk inside windowFor), an O(V²)
 // wall on 100k-gate circuits. The evaluator rebuilds the index lazily once
-// per epoch (i.e. once per commit attempt) and shares it read-only: workers
+// per epoch (i.e. once per commit) and shares it read-only: workers
 // only touch the immutable fanouts/topoPos slices; the enumeration scratch
 // fields (tfo/cand stamps) belong to the serial side exclusively.
 type passIndex struct {
@@ -39,7 +39,7 @@ func (ix *passIndex) matches(r network.Reader, epoch uint64) bool {
 }
 
 // index returns the evaluator's passIndex for nw at the current epoch,
-// rebuilding it if the epoch advanced (a commit was attempted) or the
+// rebuilding it if the epoch advanced (a commit happened) or the
 // target network changed. Serial-side only.
 func (ev *evaluator) index(nw *network.Network) *passIndex {
 	ix := ev.idx

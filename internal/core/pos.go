@@ -7,7 +7,8 @@ import (
 )
 
 // DefaultMaxComplementCubes bounds the complement covers manipulated by
-// POS-form division; larger complements are skipped (the SOP path remains).
+// POS-form and complement-phase division; larger complements are skipped
+// (the SOP path remains).
 const DefaultMaxComplementCubes = 24
 
 // PosDivide performs the paper's product-of-sum-form division of node f by
@@ -21,17 +22,14 @@ const DefaultMaxComplementCubes = 24
 // POS division always uses region-local implications (the scratch
 // complement structure must not be observed downstream), so cfg degrades
 // ExtendedGDC to Extended internally.
-func PosDivide(nw network.Reader, f, d string, cfg Config, maxCompl int) (*DivideResult, bool) {
-	return posDivide(newScratch(), nw, f, d, cfg, maxCompl, nil, nil)
+func PosDivide(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
+	return posDivide(newScratch(), nw, f, d, cfg, nil, nil)
 }
 
 // posDivide is PosDivide with an explicit scratch arena. preF/preD, when
 // non-nil, are the minimized complements of f and d carried from candidate
 // enumeration (byte-identical to recomputing them — see candidate).
-func posDivide(sc *scratch, nw network.Reader, f, d string, cfg Config, maxCompl int, preF, preD *cube.Cover) (*DivideResult, bool) {
-	if maxCompl <= 0 {
-		maxCompl = DefaultMaxComplementCubes
-	}
+func posDivide(sc *scratch, nw network.Reader, f, d string, cfg Config, preF, preD *cube.Cover) (*DivideResult, bool) {
 	fn, dn := nw.Node(f), nw.Node(d)
 	if fn == nil || dn == nil || f == d {
 		return nil, false
@@ -50,11 +48,11 @@ func posDivide(sc *scratch, nw network.Reader, f, d string, cfg Config, maxCompl
 		fc, dc = *preF, *preD
 	} else {
 		fc = fn.Cover.Complement()
-		if fc.IsZero() || fc.NumCubes() > maxCompl {
+		if fc.IsZero() || fc.NumCubes() > DefaultMaxComplementCubes {
 			return nil, false
 		}
 		dc = dn.Cover.Complement()
-		if dc.IsZero() || dc.NumCubes() > maxCompl {
+		if dc.IsZero() || dc.NumCubes() > DefaultMaxComplementCubes {
 			return nil, false
 		}
 		fc = mini.Minimize(fc, mini.Options{})
@@ -76,7 +74,7 @@ func posDivide(sc *scratch, nw network.Reader, f, d string, cfg Config, maxCompl
 	}
 	// res.Cover computes f̄; the node function is its complement.
 	final := res.Cover.Complement()
-	if final.NumCubes() > 4*maxCompl {
+	if final.NumCubes() > 4*DefaultMaxComplementCubes {
 		return nil, false
 	}
 	final = mini.Minimize(final, mini.Options{})
@@ -114,13 +112,12 @@ type complEntry struct {
 // commit); planners never touch it, so it needs no locking. The hit/miss
 // counters feed Stats.
 type complCache struct {
-	max          int
 	e            []complEntry
 	hits, misses int
 }
 
-func newComplCache(max int) *complCache {
-	return &complCache{max: max}
+func newComplCache() *complCache {
+	return &complCache{}
 }
 
 // slot grows the entry arena to cover id and returns its entry.
@@ -173,7 +170,7 @@ func (cc *complCache) get(nw network.Reader, name string) (cube.Cover, bool) {
 	}
 	c := n.Cover.Complement()
 	e := cc.slot(id)
-	if c.NumCubes() > cc.max || c.IsZero() {
+	if c.NumCubes() > DefaultMaxComplementCubes || c.IsZero() {
 		e.bad = true
 		return cube.Cover{}, false
 	}

@@ -27,7 +27,7 @@ func posNetwork() *network.Network {
 
 func TestPosDivideFactorsProduct(t *testing.T) {
 	nw := posNetwork()
-	res, ok := PosDivide(nw, "f", "d0", Extended, 0)
+	res, ok := PosDivide(nw, "f", "d0", Extended)
 	if !ok {
 		t.Fatal("POS division failed")
 	}
@@ -67,7 +67,7 @@ func TestPosDivideWithRemainder(t *testing.T) {
 	nw.AddNode("f", []string{"a", "b", "c", "d", "e"}, f)
 	nw.AddPO("f")
 	nw.AddPO("d0")
-	res, ok := PosDivide(nw, "f", "d0", Extended, 0)
+	res, ok := PosDivide(nw, "f", "d0", Extended)
 	if !ok {
 		t.Fatal("POS division failed")
 	}
@@ -95,7 +95,7 @@ func TestPosDivideRejectsUnrelated(t *testing.T) {
 	nw.AddNode("f", []string{"a", "b"}, cube.ParseCover(2, "a + b"))
 	nw.AddPO("f")
 	nw.AddPO("d0")
-	if res, ok := PosDivide(nw, "f", "d0", Extended, 0); ok {
+	if res, ok := PosDivide(nw, "f", "d0", Extended); ok {
 		// A structural division may exist; it must at least be sound.
 		after := nw.Clone()
 		if err := after.ReplaceNodeFunction("f", res.Fanins, res.Cover); err == nil {
@@ -117,7 +117,7 @@ func TestPropPosDivisionSound(t *testing.T) {
 		}
 		f := names[r.Intn(len(names))]
 		d := names[r.Intn(len(names))]
-		res, ok := PosDivide(nw, f, d, Extended, 0)
+		res, ok := PosDivide(nw, f, d, Extended)
 		if !ok {
 			continue
 		}

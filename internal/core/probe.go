@@ -5,7 +5,9 @@ import "repro/internal/network"
 // PlannerBookkeepingProbe runs one wave of the planner's per-node
 // bookkeeping — divisor-candidate enumeration through the sigCache and
 // complCache, and SigID-memoized factored-literal costing — over every
-// node of nw, without planning or committing anything. It is the seam
+// node of nw, without planning or committing anything. Enumeration is the
+// engine's own: support-local, through a pass index of nw built once up
+// front, as Substitute builds one per commit epoch. It is the seam
 // BenchmarkPlannerBookkeeping measures: this bookkeeping is exactly the
 // state the names→IDs refactor moved off string-keyed maps onto
 // SigID-indexed epoch arenas, so its allocs/op is the surface the idmap
@@ -13,12 +15,9 @@ import "repro/internal/network"
 // runtime. Returns the candidate count and summed factored-literal cost so
 // callers can sink the work.
 func PlannerBookkeepingProbe(nw *network.Network, opt Options) (candidates, lits int) {
-	maxCompl := opt.MaxComplementCubes
-	if maxCompl <= 0 {
-		maxCompl = DefaultMaxComplementCubes
-	}
 	sigs := newSigCache(nw)
-	cc := newComplCache(maxCompl)
+	cc := newComplCache()
+	ix := newEvaluator(1).index(nw)
 	sc := newScratch()
 	sc.pin = nw
 	sc.epoch = 1
@@ -27,7 +26,7 @@ func PlannerBookkeepingProbe(nw *network.Network, opt Options) (candidates, lits
 		if fn == nil || fn.Cover.IsZero() {
 			continue
 		}
-		cands := candidateDivisors(nw, sigs, cc, fn.Name, opt, nil)
+		cands := candidateDivisors(nw, sigs, cc, fn.Name, opt, ix)
 		candidates += len(cands)
 		lits += sc.factorLits(id, fn.Cover)
 		for _, c := range cands {

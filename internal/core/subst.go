@@ -16,8 +16,6 @@ type Options struct {
 	Config Config
 	// POS also tries product-of-sum-form substitution for every pair.
 	POS bool
-	// MaxComplementCubes bounds POS complement sizes (0 = default).
-	MaxComplementCubes int
 	// MaxPasses bounds the outer sweeps over the network (<= 0 = 2).
 	MaxPasses int
 	// MaxDivisorTrials caps how many divisors are tried per dividend after
@@ -41,10 +39,6 @@ type Options struct {
 	// beyond the window are simply not exploited. Extended division (and
 	// GDC) always uses the whole network.
 	WindowDepth int
-	// DepthBudget, when positive, rejects any substitution that would push
-	// the network's logic depth beyond the budget — the delay-aware mode
-	// (substitution reuses deep signals and can otherwise lengthen paths).
-	DepthBudget int
 	// Workers bounds the planner worker pool: divisor trials (a wave of one
 	// node's candidates, or a batch of nodes' trial sequences) are evaluated
 	// by up to this many goroutines against a read-only view of the
@@ -60,9 +54,7 @@ type Options struct {
 	// invariant tests enforce it); only the scheduling statistics and wall
 	// time change. Batching is also disabled implicitly for ExtendedGDC
 	// (its trials are keyed on the whole-network state, so speculation
-	// across commits can never be validated) and under a DepthBudget
-	// (commit-time rejection re-opens a node's trial sequence, which only
-	// the serial schedule reproduces).
+	// across commits can never be validated).
 	NoBatch bool
 	// NoOverlay disables the copy-on-write trial path: every division trial
 	// runs on a full deep clone of the network and every RAR pass rebuilds
@@ -108,9 +100,6 @@ type Stats struct {
 	// cost more than the trials it skipped; the fields remain so existing
 	// readers of Stats keep compiling, and JSON output omits them.
 	SigFilterReject, SigFilterPass int `json:"-"`
-	// DepthRejected counts plans whose commit was undone because the result
-	// exceeded Options.DepthBudget.
-	DepthRejected int
 	// SigCacheHits/SigCacheMisses count lookups of per-node cube literal
 	// signatures during candidate filtering.
 	SigCacheHits, SigCacheMisses int
@@ -133,9 +122,9 @@ type Stats struct {
 	SpeculatedTrials int
 	// DiscardedPlans counts positive-gain plans thrown away unused — their
 	// batch member was evicted from the sweep (a conflicting earlier commit
-	// invalidated the speculation), its commit failed, or a wave ran them
-	// past the committed slot. The classic wasted-speculation number: work
-	// that produced a committable plan the network never saw.
+	// invalidated the speculation), or a wave ran them past the committed
+	// slot. The classic wasted-speculation number: work that produced a
+	// committable plan the network never saw.
 	DiscardedPlans int
 	// BatchCommits counts plans committed straight out of a batch sweep
 	// (serial re-run commits after an eviction are ordinary Substitutions
@@ -165,7 +154,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.Decompositions += o.Decompositions
 	s.WiresRemoved += o.WiresRemoved
 	s.DivisorTrials += o.DivisorTrials
-	s.DepthRejected += o.DepthRejected
 	s.SigCacheHits += o.SigCacheHits
 	s.SigCacheMisses += o.SigCacheMisses
 	s.ComplCacheHits += o.ComplCacheHits
@@ -186,9 +174,8 @@ func (s *Stats) Accumulate(o Stats) {
 //
 // Trials are evaluated by the plan/commit engine (see engine.go): every
 // candidate's trial runs on a worker against a read-only view of the
-// network. One select-and-commit loop (trialSeq.drive) picks the plan
-// for every dividend, and two schedules drive it through one bounded worker
-// pool. The batch scheduler (batch.go) runs whole trial sequences of
+// network. One select loop (trialSeq.drive) picks the plan for every
+// dividend, and two schedules drive it through one bounded worker pool. The batch scheduler (batch.go) runs whole trial sequences of
 // cone-disjoint dividends in parallel and commits the survivors in a serial
 // sweep. Otherwise the serial driver plans waves of up to Options.Workers
 // candidates of one dividend concurrently and reduces each wave in
@@ -203,10 +190,6 @@ func Substitute(nw *network.Network, opt Options) Stats {
 	maxTrials := opt.MaxDivisorTrials
 	if maxTrials <= 0 {
 		maxTrials = 32
-	}
-	maxCompl := opt.MaxComplementCubes
-	if maxCompl <= 0 {
-		maxCompl = DefaultMaxComplementCubes
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -223,7 +206,7 @@ func Substitute(nw *network.Network, opt Options) Stats {
 	// invalidate every touched name (the same mechanism that keeps them
 	// correct across commits within a pass), so entries for untouched nodes
 	// stay valid and the second pass skips their recomputation entirely.
-	cc := newComplCache(maxCompl)
+	cc := newComplCache()
 	sigs := newSigCache(nw)
 
 	r := &run{
@@ -240,7 +223,7 @@ func Substitute(nw *network.Network, opt Options) Stats {
 	// surviving plans in one serial sweep, so every in-flight trial is
 	// committable work instead of a wave that dies with the first commit.
 	// See Options.NoBatch for when it must stay off.
-	if !opt.NoBatch && opt.Config != ExtendedGDC && opt.DepthBudget <= 0 {
+	if !opt.NoBatch && opt.Config != ExtendedGDC {
 		r.sched = newBatchScheduler(r)
 	}
 
@@ -302,17 +285,15 @@ type run struct {
 // sets into the scheduler's conflict marks, so eviction checks for later
 // members of the sweep see serial re-run commits too — not only the
 // sweep's own plan commits.
-func (r *run) commit(p plan) bool {
+func (r *run) commit(p plan) {
 	s := r.sched
 	if s == nil || !s.sweeping {
-		return r.ev.commit(r.nw, p, r.opt, r.cc, r.sigs, r.st)
+		r.ev.commit(r.nw, p, r.opt, r.cc, r.sigs, r.st)
+		return
 	}
 	pre := s.precommit(&p)
-	ok := r.ev.commit(r.nw, p, r.opt, r.cc, r.sigs, r.st)
-	if ok {
-		s.postcommit(pre)
-	}
-	return ok
+	r.ev.commit(r.nw, p, r.opt, r.cc, r.sigs, r.st)
+	s.postcommit(pre)
 }
 
 // candidates lists f's divisor candidates in trial order, capped at
@@ -327,10 +308,10 @@ func (r *run) candidates(f string) []candidate {
 
 // substituteNode runs the full serial trial-and-commit sequence for one
 // dividend — the historical per-node schedule, through the shared driver in
-// waves of Workers slots, committing as it selects — and reports whether a
-// plan committed. The serial driver calls it for every node; the batch
-// scheduler calls it for single-member batches and for members its sweep
-// evicted.
+// waves of Workers slots, then commits the selected plan — and reports
+// whether a plan committed. The serial driver calls it for every node; the
+// batch scheduler calls it for single-member batches and for members its
+// sweep evicted.
 func (r *run) substituteNode(id network.SigID) bool {
 	nw, opt, ev := r.nw, r.opt, r.ev
 	fn := nw.NodeByID(id)
@@ -339,11 +320,14 @@ func (r *run) substituteNode(id network.SigID) bool {
 	}
 	f := fn.Name
 	q := newTrialSeq(f, r.candidates(f))
-	committed := q.drive(ev.scratches[0], nw, opt, ev.workers, func(lo, hi int) {
+	p, ok := q.drive(ev.scratches[0], nw, opt, ev.workers, func(lo, hi int) {
 		ev.wave(nw, &q, lo, hi, opt)
-	}, r.commit)
+	})
+	if ok {
+		r.commit(p)
+	}
 	q.tally(r.st)
-	return committed
+	return ok
 }
 
 // candidate pairs a divisor node with the form that passed the structural
@@ -628,14 +612,14 @@ func formRank(c candidate) int {
 // commitNode installs a replacement node function, minimizing the cover
 // first (a prime irredundant cover keeps the downstream algebraic steps of
 // a larger flow effective) and compacting the fanin list.
-func commitNode(nw *network.Network, f string, fanins []string, cover cube.Cover) bool {
+func commitNode(nw *network.Network, f string, fanins []string, cover cube.Cover) error {
 	m := mini.Minimize(cover, mini.Options{})
 	if m.NumCubes() <= cover.NumCubes() && m.NumLits() <= cover.NumLits() {
 		cover = m
 	}
 	if err := nw.ReplaceNodeFunction(f, fanins, cover); err != nil {
-		return false
+		return err
 	}
 	nw.NormalizeNode(f)
-	return true
+	return nil
 }

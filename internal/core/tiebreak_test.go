@@ -55,7 +55,7 @@ func TestCandidateDivisorsSortedByFullKey(t *testing.T) {
 		nw.AddPO(po)
 	}
 	opt := Options{Config: Basic, POS: true}
-	cands := candidateDivisors(nw, newSigCache(nw), newComplCache(DefaultMaxComplementCubes), "f", opt, nil)
+	cands := candidateDivisors(nw, newSigCache(nw), newComplCache(), "f", opt, nil)
 	if len(cands) < 2 {
 		t.Fatalf("network yields only %d candidate(s); the tie test needs several", len(cands))
 	}
