@@ -10,6 +10,11 @@
 # violations fail. Run from the repo root.
 set -eux
 
+# Built tools and their reports go to a private temporary directory that is
+# removed on exit, so concurrent runs cannot clobber each other's files.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 # Formatting gate: gofmt must have nothing to rewrite.
 test -z "$(gofmt -l .)"
 
@@ -25,10 +30,10 @@ go build ./...
 #      unitchecker protocol path the analyzers also support,
 #   3. the report JSON is printed as a build artifact so a CI log shows the
 #      suppression counts at a glance.
-go build -o /tmp/bdslint.ci ./cmd/bdslint
-/tmp/bdslint.ci -report /tmp/bdslint_ignores.json -budget testdata/lint/ignore_budget.json ./...
-go vet -vettool=/tmp/bdslint.ci ./internal/core
-echo "bdslint ignore report:" && cat /tmp/bdslint_ignores.json
+go build -o "$tmp/bdslint" ./cmd/bdslint
+"$tmp/bdslint" -report "$tmp/bdslint_ignores.json" -budget testdata/lint/ignore_budget.json ./...
+go vet -vettool="$tmp/bdslint" ./internal/core
+echo "bdslint ignore report:" && cat "$tmp/bdslint_ignores.json"
 
 go test ./...
 # The end-to-end benchmark (perfbench/, its own module) carries the
@@ -82,7 +87,7 @@ done
 # -benchmem adds allocs/op and B/op, which benchreg compares with tighter
 # thresholds than ns/op: allocation counts are near-deterministic here, so
 # drift means the engine's allocation behavior actually changed.
-go build -o /tmp/benchreg.ci ./cmd/benchreg
+go build -o "$tmp/benchreg" ./cmd/benchreg
 go test -run '^$' -bench 'BenchmarkSubstituteParallel$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$' -benchtime 1x -benchmem -timeout 60m . \
-  | /tmp/benchreg.ci -emit /tmp/BENCH_substitute.json
-/tmp/benchreg.ci -compare testdata/bench/BENCH_substitute.json /tmp/BENCH_substitute.json
+  | "$tmp/benchreg" -emit "$tmp/BENCH_substitute.json"
+"$tmp/benchreg" -compare testdata/bench/BENCH_substitute.json "$tmp/BENCH_substitute.json"

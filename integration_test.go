@@ -230,3 +230,46 @@ func TestLargeCircuitSmoke(t *testing.T) {
 	t.Logf("large circuit: %d nodes, lits %d → %d, %d substitutions",
 		nw.NumNodes(), before, nw.FactoredLits(), st.Substitutions)
 }
+
+// TestSubstituteLeavesNoDeadNodes: a commit can leave the divisor it
+// replaced, or the cone it bypassed, with no reader, and Substitute removes
+// such nodes at every pass boundary. On the end-to-end benchmark's inputs
+// (generator seeds 1000–1003) under the shipped flows, every node of the
+// result must be reachable from a primary output.
+func TestSubstituteLeavesNoDeadNodes(t *testing.T) {
+	flows := []struct {
+		shape string
+		pis   int
+		cfg   core.Config
+	}{
+		{"cone", 0, core.Extended},
+		{"rand", 16, core.Basic},
+	}
+	for _, fl := range flows {
+		for seed := int64(1000); seed <= 1003; seed++ {
+			nw, err := bench.Generate(fl.shape, 200, fl.pis, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			script.A(nw)
+			core.Substitute(nw, core.Options{Config: fl.cfg, POS: true, Pool: true})
+			reached := map[string]bool{}
+			stack := append([]string(nil), nw.POs()...)
+			for len(stack) > 0 {
+				s := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				n := nw.Node(s)
+				if n == nil || reached[s] {
+					continue
+				}
+				reached[s] = true
+				stack = append(stack, n.Fanins...)
+			}
+			for _, n := range nw.Nodes() {
+				if !reached[n.Name] {
+					t.Errorf("%s-200 seed %d: node %s is read by no primary output", fl.shape, seed, n.Name)
+				}
+			}
+		}
+	}
+}

@@ -44,13 +44,10 @@ import (
 //	     fanout structure, not only the fanin cones of f and d.
 //	E2   dirtyCone[d] for a listed candidate d: d's cone content changed,
 //	     so d's trial outcomes may differ.
-//	E4   bdcDirty and the plan creates nodes: a commit added or deleted a
-//	     "bdc"-prefixed name (or swapped the whole network), so the fresh
-//	     core name the speculated plan embeds may no longer be the name
+//	E4   coreDirty and the plan creates nodes: a commit added a core name
+//	     ("bdc" from extended division, "bdp" from pooled division), so the
+//	     fresh core name the speculated plan embeds may no longer be the name
 //	     FreshName would pick at this slot.
-//	E5   a whole-network-clone plan with any prior sweep commit: the clone
-//	     embeds S_0 wholesale; committing it by CopyFrom would revert the
-//	     earlier commits. (Overlay plans commit by delta and are exempt.)
 //
 // A member that passes every rule behaves, by the rules' coverage of its
 // inputs, exactly as the serial driver would at S_{j-1}; a member that
@@ -153,9 +150,7 @@ type batchScheduler struct {
 	stack   []network.SigID   // markConeTFO DFS scratch
 
 	sweeping  bool // run.commit routes commits through the marks while set
-	bdcDirty  bool // a commit touched the "bdc" fresh-name namespace
-	allDirty  bool // a whole-network CopyFrom happened: evict everything
-	committed int  // commits so far in this sweep (rule E5)
+	coreDirty bool // a commit added a core name (rule E4)
 }
 
 func newBatchScheduler(r *run) *batchScheduler {
@@ -309,8 +304,7 @@ func (s *batchScheduler) sweep() bool {
 	changed := false
 	s.sweeping = true
 	s.dirtyReset()
-	s.bdcDirty, s.allDirty = false, false
-	s.committed = 0
+	s.coreDirty = false
 	for _, m := range s.members {
 		if m.trivial {
 			// Exact re-check at the member's slot: an earlier commit can
@@ -344,19 +338,15 @@ func (s *batchScheduler) sweep() bool {
 		r.commit(m.plan)
 		changed = true
 		r.st.BatchCommits++
-		s.committed++
 		m.tally(r.st)
 	}
 	s.sweeping = false
 	return changed
 }
 
-// evict applies rules E1–E5 (see the file comment) to member m at its
+// evict applies rules E1–E4 (see the file comment) to member m at its
 // sweep slot.
 func (s *batchScheduler) evict(m *batchMember) bool {
-	if s.allDirty {
-		return true
-	}
 	if s.coneDirty(m.id) { // E1a
 		return true
 	}
@@ -370,27 +360,14 @@ func (s *batchScheduler) evict(m *batchMember) bool {
 			return true
 		}
 	}
-	if m.hasPlan && !m.plan.isNode() {
-		if s.bdcDirty && planCreatesNames(&m.plan) { // E4
-			return true
-		}
-		if _, clone := m.plan.work.(*network.Network); clone && s.committed > 0 { // E5
-			return true
-		}
-	}
-	return false
+	// E4
+	return s.coreDirty && m.hasPlan && !m.plan.isNode() && len(m.plan.work.Added()) > 0
 }
 
-// planCreatesNames reports whether committing p interns fresh node names
-// (rule E4's precondition). Clone plans are conservatively assumed to.
-func planCreatesNames(p *plan) bool {
-	if p.isNode() {
-		return false
-	}
-	if ov, ok := p.work.(*network.Overlay); ok {
-		return len(ov.Added()) > 0
-	}
-	return true
+// isCoreName reports whether name lies in a namespace plans draw fresh core
+// names from: "bdc" (extended division) or "bdp" (pooled division).
+func isCoreName(name string) bool {
+	return strings.HasPrefix(name, "bdc") || strings.HasPrefix(name, "bdp")
 }
 
 // commitMarks carries one commit's conflict-mark state across the
@@ -400,7 +377,6 @@ func planCreatesNames(p *plan) bool {
 type commitMarks struct {
 	touched []network.SigID
 	added   []string
-	clone   bool
 }
 
 // precommit records the commit's touched set and old-fanin support marks
@@ -415,30 +391,16 @@ func (s *batchScheduler) precommit(p *plan) commitMarks {
 		}
 		return cm
 	}
-	ov, ok := p.work.(*network.Overlay)
-	if !ok {
-		cm.clone = true // CopyFrom commit: poison everything in postcommit
-		return cm
-	}
-	// The overlay's recorded delta is the complete touched set — p.touched
-	// is only the {f, d} summary and may omit nodes the trial rewrote.
-	for _, n := range ov.Added() {
+	// The overlay's delta is the complete touched set: extended division
+	// replaces the divisor as well as f.
+	for _, n := range p.work.Added() {
 		cm.added = append(cm.added, n.Name)
-		if strings.HasPrefix(n.Name, "bdc") {
-			s.bdcDirty = true
+		if isCoreName(n.Name) {
+			s.coreDirty = true
 		}
 	}
-	for _, n := range ov.Changed() {
-		if id, idOK := nw.IDOf(n.Name); idOK {
-			cm.touched = append(cm.touched, id)
-			s.markSupp(nw.FaninIDsOf(id))
-		}
-	}
-	for _, name := range ov.Deleted() {
-		if strings.HasPrefix(name, "bdc") {
-			s.bdcDirty = true
-		}
-		if id, idOK := nw.IDOf(name); idOK {
+	for _, n := range p.work.Changed() {
+		if id, ok := nw.IDOf(n.Name); ok {
 			cm.touched = append(cm.touched, id)
 			s.markSupp(nw.FaninIDsOf(id))
 		}
@@ -454,11 +416,6 @@ func (s *batchScheduler) precommit(p *plan) commitMarks {
 // post-state fanout path not in the snapshot passes through a node touched
 // by this commit (marked here) or by an earlier one (marked then).
 func (s *batchScheduler) postcommit(cm commitMarks) {
-	if cm.clone {
-		s.allDirty = true
-		s.bdcDirty = true
-		return
-	}
 	nw := s.r.nw
 	for _, name := range cm.added {
 		if id, ok := nw.IDOf(name); ok {

@@ -254,3 +254,67 @@ func TestBatchSchedulerCommits(t *testing.T) {
 		t.Errorf("BatchCommits %d exceeds Substitutions %d", st.BatchCommits, st.Substitutions)
 	}
 }
+
+// TestEvictCoreNameRuleCoversPooledCores: rule E4 evicts a member whose
+// speculated plan adds a core node once an earlier commit of the same sweep
+// added a name in a core namespace — pooled division's "bdp" as well as
+// extended division's "bdc" — because the fresh name the plan embeds may no
+// longer be the one FreshName picks at the member's slot.
+func TestEvictCoreNameRuleCoversPooledCores(t *testing.T) {
+	nw := pooledNetwork()
+	s := newBatchScheduler(&run{nw: nw})
+	s.fanouts = nw.FanoutIDs()
+	s.dirtyReset()
+	addCore := func() *network.Overlay {
+		ov := network.NewOverlay(nw)
+		ov.AddNode(ov.FreshName("bdp"), []string{"a", "b"}, cube.ParseCover(2, "a + b"))
+		return ov
+	}
+	fid, _ := nw.IDOf("f")
+	m := &batchMember{id: fid, hasPlan: true, plan: plan{target: "f", work: addCore()}}
+	if s.evict(m) {
+		t.Fatal("member evicted before any commit")
+	}
+	core := addCore()
+	first := plan{target: "g1", work: core}
+	pre := s.precommit(&first)
+	core.ApplyTo(nw)
+	s.postcommit(pre)
+	if !s.evict(m) {
+		t.Error("member whose plan adds a bdp core survived an earlier bdp commit")
+	}
+}
+
+// TestEvictGuardCoversFanoutCone: rule E1b evicts a member when a commit of
+// the same sweep rewrites a node deep in f's fanout cone, because a trial
+// reads observability through f's fanouts. Here t2 reads f only through
+// t1, and neither t2's old nor its new fanins touch {f} ∪ supp(f): only
+// the TFO(f) part of the guard can see the rewrite.
+func TestEvictGuardCoversFanoutCone(t *testing.T) {
+	nw := network.New("tfo")
+	for _, pi := range []string{"a", "b", "c"} {
+		nw.AddPI(pi)
+	}
+	nw.AddNode("f", []string{"a", "b"}, cube.ParseCover(2, "ab"))
+	nw.AddNode("t1", []string{"f", "c"}, cube.ParseCover(2, "a + b"))
+	nw.AddNode("t2", []string{"t1", "c"}, cube.ParseCover(2, "ab"))
+	nw.AddPO("t2")
+	r := &run{nw: nw, maxTrials: 32, ev: newEvaluator(1), st: &Stats{}, cc: newComplCache(), sigs: newSigCache(nw)}
+	s := newBatchScheduler(r)
+	r.sched = s
+	s.fanouts = r.ev.index(nw).fanouts
+	fid, _ := nw.IDOf("f")
+	m, ok := s.buildMember(0, fid, "f")
+	if !ok {
+		t.Fatal("f's footprint is over the cap")
+	}
+	s.sweeping = true
+	s.dirtyReset()
+	if s.evict(m) {
+		t.Fatal("member evicted before any commit")
+	}
+	r.commit(plan{target: "t2", newFanins: []string{"t1", "c"}, newCover: cube.ParseCover(2, "a + b")})
+	if !s.evict(m) {
+		t.Error("member survived a rewrite of t2, which lies in f's fanout cone")
+	}
+}

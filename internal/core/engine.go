@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,8 +16,8 @@ import (
 //	planner   — evaluates one (dividend, divisor) trial against a read-only
 //	            view of the network (network.Reader) and returns a pure-data
 //	            plan. Planners never mutate shared state: every division
-//	            runs on a private clone, and per-worker scratch arenas hold
-//	            all reusable buffers. Plans are therefore evaluable
+//	            edits a private overlay (a deep clone under NoOverlay), and
+//	            per-worker scratch arenas hold all reusable buffers. Plans are therefore evaluable
 //	            concurrently.
 //	reducer   — trialSeq.drive, the one select loop both schedules
 //	            share: walks completed plans in the deterministic
@@ -30,7 +29,7 @@ import (
 //	            commit always sticks: nothing in the engine undoes one.
 //
 // Determinism argument: a plan captures the full replacement (node function
-// or whole rewritten network) and its gain, computed from the pre-commit
+// or overlay delta) and its gain, computed from the pre-commit
 // network state. The reducer visits plans in candidate order and commits
 // the first positive-gain one (or, under BestGain, the best one once every
 // slot has run). That is the serial schedule: a commit ends the node's
@@ -41,9 +40,9 @@ import (
 // plan is one evaluated division candidate, as pure data: the gain it
 // achieves and the replacement that realizes it. Exactly one of the two
 // replacement shapes is set: a node-function rewrite (newFanins/newCover,
-// for basic, complement-phase, and POS division) or a whole-network rewrite
-// (work/touched, for extended division's divisor decomposition and for
-// pooled division).
+// for basic, complement-phase, and POS division) or an overlay delta (work,
+// for extended and pooled division, which may add a core node and rewrite
+// the divisor as well as f).
 type plan struct {
 	target  string // dividend node the plan rewrites
 	divisor string // divisor the plan used (informational)
@@ -56,14 +55,9 @@ type plan struct {
 	newFanins []string
 	newCover  cube.Cover
 
-	// Whole-network rewrite: commit applies work to the live network —
-	// extracting the delta when work is an overlay, copying wholesale when it
-	// is a deep clone — and invalidates the touched node names in the pass
-	// caches. core names the node extended division added when it decomposed
-	// the divisor ("" when none); the overlay audit compares it with f and d.
-	work    trialNet
-	touched []string
-	core    string
+	// Overlay delta: commit applies it to the live network (Overlay.ApplyTo)
+	// and invalidates every name it adds or replaces in the pass caches.
+	work *network.Overlay
 }
 
 // isNode reports whether the plan is a node-function rewrite.
@@ -142,19 +136,24 @@ func comparePlans(got plan, gotOK bool, want plan, wantOK bool) error {
 		}
 		return nil
 	}
-	for _, name := range []string{got.target, got.divisor, got.core} {
-		if name == "" {
-			continue
+	if err := compareNodes("added", got.work.Added(), want.work.Added()); err != nil {
+		return err
+	}
+	return compareNodes("replaced", got.work.Changed(), want.work.Changed())
+}
+
+// compareNodes reports the first divergence between two node lists of a
+// plan's delta, or nil when they agree name for name and body for body.
+func compareNodes(kind string, got, want []*network.Node) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("overlay %s %d nodes, clone %d", kind, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Name != want[i].Name {
+			return fmt.Errorf("%s node %d: overlay %q, clone %q", kind, i, got[i].Name, want[i].Name)
 		}
-		gn, wn := got.work.Node(name), want.work.Node(name)
-		if (gn == nil) != (wn == nil) {
-			return fmt.Errorf("work node %q present=%v, clone present=%v", name, gn != nil, wn != nil)
-		}
-		if gn == nil {
-			continue
-		}
-		if err := compareNodeFn(gn.Fanins, gn.Cover, wn.Fanins, wn.Cover); err != nil {
-			return fmt.Errorf("work node %q: %v", name, err)
+		if err := compareNodeFn(got[i].Fanins, got[i].Cover, want[i].Fanins, want[i].Cover); err != nil {
+			return fmt.Errorf("%s node %q: %v", kind, got[i].Name, err)
 		}
 	}
 	return nil
@@ -238,7 +237,7 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 		// keep the better (the core-selection heuristic can otherwise pick
 		// a decomposition where the whole divisor would gain more).
 		extGain := -1 << 30
-		var extWork trialNet
+		var extWork *network.Overlay
 		var extRes *DivideResult
 		var extDec *Decomposition
 		if work, res, dec, ok := extendedDivide(sc, nw, f, d, opt.Config); ok {
@@ -263,10 +262,6 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 			p.gain = basicGain
 			return p, true
 		}
-		core := ""
-		if extDec != nil {
-			core = extDec.CoreName
-		}
 		return plan{
 			target:  f,
 			divisor: d,
@@ -274,8 +269,6 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 			dec:     extDec != nil,
 			removed: extRes.WiresRemoved,
 			work:    extWork,
-			touched: []string{f, d},
-			core:    core,
 		}, true
 	}
 }
@@ -297,10 +290,9 @@ func planPooled(sc *scratch, nw network.Reader, f string, cands []candidate, opt
 	return p, ok
 }
 
-// planPooledImpl is planPooled's trial body. The candidate dedup and the
-// touched-name set are plain slice scans: the pool is capped at four
-// entries, so linear containment beats hashing and the bookkeeping
-// allocates nothing beyond the name lists the plan carries anyway.
+// planPooledImpl is planPooled's trial body. The candidate dedup is a plain
+// slice scan: the pool is capped at four entries, so linear containment
+// beats hashing.
 func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate, opt Options) (plan, bool) {
 	var pool []string
 	for _, c := range cands {
@@ -315,41 +307,30 @@ func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate,
 	if len(pool) < 2 {
 		return plan{}, false
 	}
-	fn := nw.Node(f)
-	before := algebraic.FactorLits(fn.Cover)
-	names := make([]string, 0, len(pool)+2)
-	names = append(names, f)
+	before := algebraic.FactorLits(nw.Node(f).Cover)
 	for _, d := range pool {
 		before += algebraic.FactorLits(nw.Node(d).Cover)
-		names = append(names, d)
 	}
 	work, res, dec, ok := pooledExtendedDivide(sc, nw, f, pool, opt.Config)
 	if !ok {
 		return plan{}, false
 	}
-	after := 0
-	if dec != nil && work.Node(dec.CoreName) != nil {
-		after += algebraic.FactorLits(work.Node(dec.CoreName).Cover)
-	}
-	for _, name := range names {
-		if n := work.Node(name); n != nil {
-			after += algebraic.FactorLits(n.Cover)
-		}
+	after := algebraic.FactorLits(work.Node(f).Cover)
+	for _, d := range pool {
+		after += algebraic.FactorLits(work.Node(d).Cover)
 	}
 	if dec != nil {
-		names = append(names, dec.CoreName)
+		after += algebraic.FactorLits(work.Node(dec.CoreName).Cover)
 	}
 	if before-after <= 0 {
 		return plan{}, false
 	}
-	sort.Strings(names)
 	return plan{
 		target:  f,
 		gain:    before - after,
 		dec:     dec != nil,
 		removed: res.WiresRemoved,
 		work:    work,
-		touched: names,
 	}, true
 }
 
@@ -365,39 +346,22 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 		}
 		cc.invalidate(nw, p.target)
 		sigs.invalidate(p.target)
-	} else if ov, ok := p.work.(*network.Overlay); ok {
-		// An overlay plan commits by applying its recorded delta to the live
-		// network — byte-identical to copying a materialized clone, but
-		// O(delta).
-		if err := ov.ApplyTo(nw); err != nil {
-			panic("core: overlay commit: " + err.Error())
-		}
-		// The overlay's recorded delta is the complete rewrite set —
-		// p.touched is only the {f, d} summary and extended division can
-		// rewrite nodes beyond the pair. A name missed here keeps a
-		// complement cover cached over its OLD fanin space, and the next
-		// candidate enumeration indexes the new (shorter) fanin list with
-		// it.
-		for _, n := range ov.Added() {
-			cc.invalidate(nw, n.Name)
-			sigs.invalidate(n.Name)
-		}
-		for _, n := range ov.Changed() {
-			cc.invalidate(nw, n.Name)
-			sigs.invalidate(n.Name)
-		}
-		for _, name := range ov.Deleted() {
-			cc.invalidate(nw, name)
-			sigs.invalidate(name)
-		}
 	} else {
-		// A clone plan (NoOverlay, or pooled division's cross-node path,
-		// which needs Sweep) commits by wholesale copy. Its rewrite set is
-		// not enumerable from the plan — the pooled path's Sweep can delete
-		// dead nodes p.touched never lists — so drop every cache entry.
-		nw.CopyFrom(p.work.(*network.Network))
-		cc.reset()
-		sigs.reset()
+		// An overlay plan commits by applying its recorded delta: O(delta).
+		// The delta is the complete rewrite set — extended division replaces
+		// the divisor as well as f — so every name in it is invalidated. A
+		// name missed here keeps a complement cover cached over its OLD fanin
+		// space, and the next candidate enumeration indexes the new (shorter)
+		// fanin list with it.
+		p.work.ApplyTo(nw)
+		for _, n := range p.work.Added() {
+			cc.invalidate(nw, n.Name)
+			sigs.invalidate(n.Name)
+		}
+		for _, n := range p.work.Changed() {
+			cc.invalidate(nw, n.Name)
+			sigs.invalidate(n.Name)
+		}
 	}
 
 	st.Substitutions++
@@ -603,14 +567,19 @@ func (ev *evaluator) pool(nw *network.Network, n int, task func(sc *scratch, i i
 	}
 }
 
-// commit applies a plan through commitPlan, first bumping the epoch and
-// stamping it into every scratch, so each one's memoized base build of the
-// live network is invalidated before the network can change. No worker runs
-// while the serial side commits, so it may write the scratches here.
+// commit applies a plan through commitPlan, first bumping the epoch.
 func (ev *evaluator) commit(nw *network.Network, p plan, opt Options, cc *complCache, sigs *sigCache, st *Stats) {
+	ev.bump()
+	commitPlan(nw, p, opt, cc, sigs, st)
+}
+
+// bump advances the commit epoch and stamps it into every scratch, so each
+// one's memoized base build of the live network (and the pass index) is
+// invalidated before the network changes. No worker runs while the serial
+// side edits the network, so it may write the scratches here.
+func (ev *evaluator) bump() {
 	ev.epoch++
 	for _, sc := range ev.scratches {
 		sc.epoch = ev.epoch
 	}
-	commitPlan(nw, p, opt, cc, sigs, st)
 }

@@ -192,11 +192,11 @@ func ExtendedDivide(nw network.Reader, f, d string, cfg Config) (*network.Networ
 	return materializeTrial(work), res, dec, true
 }
 
-// extendedDivide is ExtendedDivide with an explicit scratch arena. The
-// returned working copy is a trialNet (an overlay on the copy-on-write path,
-// a deep clone under NoOverlay); the engine commits it via commitPlan and
-// the public wrapper materializes it.
-func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (trialNet, *DivideResult, *Decomposition, bool) {
+// extendedDivide is ExtendedDivide with an explicit scratch arena. The trial
+// runs on sc.trialClone (an overlay, or a deep clone under NoOverlay) and
+// returns its edits as an overlay delta over nw; the engine commits it via
+// commitPlan and the public wrapper materializes it.
+func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (*network.Overlay, *DivideResult, *Decomposition, bool) {
 	fn, dn := nw.Node(f), nw.Node(d)
 	if fn == nil || dn == nil {
 		return nil, nil, nil, false
@@ -227,7 +227,7 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (tr
 			return nil, nil, nil, false
 		}
 		work.NormalizeNode(f)
-		return work, res, nil, true
+		return overlayDelta(nw, work, "", f), res, nil, true
 	}
 
 	// Decompose d = core + rest.
@@ -271,5 +271,5 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (tr
 		return nil, nil, nil, false
 	}
 	work.NormalizeNode(f)
-	return work, res, &Decomposition{CoreName: coreName, CoreMask: mask}, true
+	return overlayDelta(nw, work, coreName, d, f), res, &Decomposition{CoreName: coreName, CoreMask: mask}, true
 }

@@ -187,10 +187,10 @@ func PooledExtendedDivide(nw network.Reader, f string, divisors []string, cfg Co
 }
 
 // pooledExtendedDivide is PooledExtendedDivide with an explicit scratch
-// arena. Single-node cores return extendedDivide's working copy (an overlay
-// on the copy-on-write path); the cross-node core path always returns a deep
-// clone — it needs Sweep, which only a materialized network supports.
-func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []string, cfg Config) (trialNet, *DivideResult, *Decomposition, bool) {
+// arena. Both paths return an overlay delta over nw: a single-node core is
+// extendedDivide's, and a cross-node core is a local rewrite that adds the
+// core and replaces f, touching nothing else.
+func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []string, cfg Config) (*network.Overlay, *DivideResult, *Decomposition, bool) {
 	votes, pool, union, ok := pooledVoteTable(sc, nw, f, divisors, cfg)
 	if !ok {
 		return nil, nil, nil, false
@@ -222,9 +222,9 @@ func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []s
 		return extendedDivide(sc, nw, f, contribNodes[0], cfg)
 	}
 
-	// Cross-node core: materialize it as a standalone node over the union
-	// of the contributing cubes' signals, then basic-divide f by it.
-	work := nw.Clone()
+	// Cross-node core: add it as a standalone node over the union of the
+	// contributing cubes' signals, then basic-divide f by it.
+	work := sc.trialClone(nw)
 	coreName := work.FreshName("bdp")
 	coreCover := cube.NewCover(len(union))
 	for k := range pool {
@@ -234,6 +234,11 @@ func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []s
 	}
 	work.AddNode(coreName, union, coreCover.SCC())
 	work.NormalizeNode(coreName)
+	if c := work.Node(coreName).Cover; c.NumCubes() == 1 && c.Cubes[0].NumLits() == 1 {
+		// A single-literal core is a wire, not a divisor (basicDivide
+		// refuses constant ones itself).
+		return nil, nil, nil, false
+	}
 
 	res, ok := basicDivide(sc, work, f, coreName, cfg)
 	if !ok {
@@ -243,10 +248,9 @@ func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []s
 		return nil, nil, nil, false
 	}
 	work.NormalizeNode(f)
-	work.Sweep()
-	if work.Node(coreName) == nil {
+	if work.Node(f).FaninIndex(coreName) < 0 {
 		// The division ended up not using the core: nothing gained.
 		return nil, nil, nil, false
 	}
-	return work, res, &Decomposition{CoreName: coreName, CoreMask: mask}, true
+	return overlayDelta(nw, work, coreName, f), res, &Decomposition{CoreName: coreName, CoreMask: mask}, true
 }

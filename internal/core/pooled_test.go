@@ -138,3 +138,33 @@ func TestSubstituteWithPooling(t *testing.T) {
 		t.Errorf("literals grew %d → %d", st.LitsBefore, st.LitsAfter)
 	}
 }
+
+// TestPooledCrossNodeCoreIsLocal: a cross-node core is a local rewrite, so
+// the trial's delta adds the core and replaces f and nothing else, and a
+// dead node elsewhere in the network is left alone (the pass boundary, not
+// the trial, removes dead nodes).
+func TestPooledCrossNodeCoreIsLocal(t *testing.T) {
+	for _, noOverlay := range []bool{false, true} {
+		nw := pooledNetwork()
+		nw.AddNode("dead", []string{"c", "d"}, cube.ParseCover(2, "ab"))
+		sc := newScratch()
+		sc.noOverlay = noOverlay
+		work, _, dec, ok := pooledExtendedDivide(sc, nw, "f", []string{"g1", "g2"}, Extended)
+		if !ok || dec == nil {
+			t.Fatalf("noOverlay=%v: no cross-node pooled division of f", noOverlay)
+		}
+		if work.Node("dead") == nil {
+			t.Errorf("noOverlay=%v: the trial removed the unrelated dead node", noOverlay)
+		}
+		var added, changed []string
+		for _, n := range work.Added() {
+			added = append(added, n.Name)
+		}
+		for _, n := range work.Changed() {
+			changed = append(changed, n.Name)
+		}
+		if len(added) != 1 || added[0] != dec.CoreName || len(changed) != 1 || changed[0] != "f" {
+			t.Errorf("noOverlay=%v: delta adds %v and replaces %v, want [%s] and [f]", noOverlay, added, changed, dec.CoreName)
+		}
+	}
+}

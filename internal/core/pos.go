@@ -202,11 +202,3 @@ func (cc *complCache) invalidate(nw network.Reader, name string) {
 		cc.e[id] = complEntry{}
 	}
 }
-
-// reset drops every entry: the wholesale invalidation a clone (CopyFrom)
-// commit needs, since its rewrite set is not enumerable from the plan.
-func (cc *complCache) reset() {
-	for i := range cc.e {
-		cc.e[i] = complEntry{}
-	}
-}

@@ -251,6 +251,7 @@ func Substitute(nw *network.Network, opt Options) Stats {
 				}
 			}
 		}
+		r.removeDead()
 		st.Passes++
 		st.PassTimes = append(st.PassTimes, clk.Since(passStart))
 		if !changed {
@@ -294,6 +295,23 @@ func (r *run) commit(p plan) {
 	pre := s.precommit(&p)
 	r.ev.commit(r.nw, p, r.opt, r.cc, r.sigs, r.st)
 	s.postcommit(pre)
+}
+
+// removeDead deletes the nodes no primary output reads once a pass is over:
+// a commit can leave the divisor it replaced, or the fanin cone it bypassed,
+// without readers. For the pass caches the removal is one more commit: it
+// bumps the epoch, so no base build or pass index outlives it, and
+// invalidates only the removed names.
+func (r *run) removeDead() {
+	dead := r.nw.RemoveDead()
+	if len(dead) == 0 {
+		return
+	}
+	r.ev.bump()
+	for _, name := range dead {
+		r.cc.invalidate(r.nw, name)
+		r.sigs.invalidate(name)
+	}
 }
 
 // candidates lists f's divisor candidates in trial order, capped at
@@ -397,14 +415,6 @@ func (sc *sigCache) invalidate(name string) {
 	if id, ok := sc.nw.IDOf(name); ok && int(id) < len(sc.has) {
 		sc.has[id] = false
 		sc.sigs[id] = nil
-	}
-}
-
-// reset drops every entry (see complCache.reset).
-func (sc *sigCache) reset() {
-	for i := range sc.has {
-		sc.has[i] = false
-		sc.sigs[i] = nil
 	}
 }
 

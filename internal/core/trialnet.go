@@ -32,12 +32,34 @@ func (sc *scratch) trialClone(nw network.Reader) trialNet {
 	return network.NewOverlay(nw)
 }
 
-// materializeTrial converts a trial's working copy into a standalone
+// overlayDelta returns a finished trial's edits as an overlay delta over nw:
+// the one shape a whole-network plan commits through (Overlay.ApplyTo). An
+// overlay working copy already is that delta. A deep clone (Options.NoOverlay)
+// is replayed onto a fresh overlay in ApplyTo's order — the added core, then
+// the replaced nodes in the order the trial first touched them — so both
+// paths hand the committer the same delta, while Audit still checks the
+// reads the trial made on a real Network.
+func overlayDelta(nw network.Reader, work trialNet, core string, replaced ...string) *network.Overlay {
+	if ov, ok := work.(*network.Overlay); ok {
+		return ov
+	}
+	ov := network.NewOverlay(nw)
+	if core != "" {
+		n := work.Node(core)
+		ov.AddNode(core, n.Fanins, n.Cover)
+	}
+	for _, name := range replaced {
+		n := work.Node(name)
+		if err := ov.ReplaceNodeFunction(name, n.Fanins, n.Cover); err != nil {
+			panic("core: replaying a clone trial: " + err.Error())
+		}
+	}
+	return ov
+}
+
+// materializeTrial converts a trial's delta into a standalone
 // *network.Network for the public one-shot entry points (ExtendedDivide,
 // PooledExtendedDivide), whose callers expect an independent network.
-func materializeTrial(work trialNet) *network.Network {
-	if ov, ok := work.(*network.Overlay); ok {
-		return ov.Clone()
-	}
-	return work.(*network.Network)
+func materializeTrial(work *network.Overlay) *network.Network {
+	return work.Clone()
 }

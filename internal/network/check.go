@@ -18,8 +18,9 @@ import (
 //
 //   - primary input names are unique and never doubly driven by a node
 //   - primary outputs are unique and driven by a PI or node
-//   - the symbol table and the ID-indexed slices agree: defs/piMark/faninIDs
-//     span the whole ID space, PI/PO name slices mirror their ID slices
+//   - the symbol table and the ID-indexed slices agree: defs/piMark/poMark/
+//     faninIDs span the whole ID space, PI/PO name slices mirror their ID
+//     slices, and the PI/PO marks mirror the PI/PO lists
 //   - every live node appears exactly once in the creation order and its
 //     Name matches its interned name (so Nodes() is a faithful enumeration)
 //   - fanins are distinct and driven, and each node's fanin-ID slice is the
@@ -32,9 +33,9 @@ import (
 //
 // It returns the first violation found, or nil.
 func (nw *Network) Check() error {
-	if len(nw.defs) != nw.sym.Len() || len(nw.piMark) != nw.sym.Len() || len(nw.faninIDs) != nw.sym.Len() {
-		return fmt.Errorf("network %q: ID slices span %d/%d/%d signals, symbol table %d",
-			nw.Name, len(nw.defs), len(nw.piMark), len(nw.faninIDs), nw.sym.Len())
+	if len(nw.defs) != nw.sym.Len() || len(nw.piMark) != nw.sym.Len() || len(nw.poMark) != nw.sym.Len() || len(nw.faninIDs) != nw.sym.Len() {
+		return fmt.Errorf("network %q: ID slices span %d/%d/%d/%d signals, symbol table %d",
+			nw.Name, len(nw.defs), len(nw.piMark), len(nw.poMark), len(nw.faninIDs), nw.sym.Len())
 	}
 	if len(nw.piNames) != len(nw.pis) {
 		return fmt.Errorf("network %q: %d PI names for %d PI ids", nw.Name, len(nw.piNames), len(nw.pis))
@@ -87,6 +88,11 @@ func (nw *Network) Check() error {
 		seenPO[id] = true
 		if !nw.piMark[id] && nw.defs[id] == nil {
 			return fmt.Errorf("network %q: undriven primary output %q", nw.Name, po)
+		}
+	}
+	for id, marked := range nw.poMark {
+		if marked != seenPO[id] {
+			return fmt.Errorf("network %q: PO mark of %q is %v but its PO listing is %v", nw.Name, nw.sym.Name(SigID(id)), marked, seenPO[id])
 		}
 	}
 

@@ -49,6 +49,17 @@ func TestCheckDuplicatePO(t *testing.T) {
 	})
 }
 
+func TestCheckPOMarkDrift(t *testing.T) {
+	// AddPO's duplicate guard trusts the mark; a mark without a listing (or
+	// the reverse) would reject a fresh output or admit a doubled one.
+	corrupt(t, "PO mark", func(nw *Network) {
+		nw.poMark[mustID(t, nw, "g")] = true
+	})
+	corrupt(t, "PO mark", func(nw *Network) {
+		nw.poMark[mustID(t, nw, "f")] = false
+	})
+}
+
 func TestCheckUndrivenPO(t *testing.T) {
 	corrupt(t, "undriven primary output", func(nw *Network) {
 		nw.posIDs = append(nw.posIDs, nw.intern("ghost"))

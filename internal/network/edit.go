@@ -130,31 +130,50 @@ func (nw *Network) Sweep() int {
 		}
 
 		// 2. Dead-node elimination.
-		live := make([]bool, nw.sym.Len())
-		var mark func(SigID)
-		mark = func(id SigID) {
-			if live[id] || nw.piMark[id] {
-				return
-			}
-			live[id] = true
-			for _, f := range nw.faninIDs[id] {
-				mark(f)
-			}
-		}
-		for _, po := range nw.posIDs {
-			mark(po)
-		}
-		for _, id := range nw.order {
-			if nw.defs[id] != nil && !live[id] {
-				nw.RemoveNode(nw.sym.Name(id))
-				removed++
-				changed = true
-			}
+		if dead := nw.RemoveDead(); len(dead) > 0 {
+			removed += len(dead)
+			changed = true
 		}
 		if !changed {
 			return removed
 		}
 	}
+}
+
+// RemoveDead deletes every node that no primary output reads, directly or
+// through other nodes, and returns the removed names in creation order. It
+// also drops them from the creation order, so a later AddNode that rebinds
+// a removed name lists it once.
+func (nw *Network) RemoveDead() []string {
+	live := make([]bool, nw.sym.Len())
+	var mark func(SigID)
+	mark = func(id SigID) {
+		if live[id] || nw.piMark[id] {
+			return
+		}
+		live[id] = true
+		for _, f := range nw.faninIDs[id] {
+			mark(f)
+		}
+	}
+	for _, po := range nw.posIDs {
+		mark(po)
+	}
+	var dead []string
+	order := nw.order[:0]
+	for _, id := range nw.order {
+		switch {
+		case nw.defs[id] == nil:
+		case live[id]:
+			order = append(order, id)
+		default:
+			name := nw.sym.Name(id)
+			nw.RemoveNode(name)
+			dead = append(dead, name)
+		}
+	}
+	nw.order = order
+	return dead
 }
 
 func isConstCover(f cube.Cover) bool {

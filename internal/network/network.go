@@ -50,8 +50,8 @@ func (n *Node) FaninIndex(s string) int {
 
 // Network is a combinational multilevel Boolean network with dense-ID,
 // slice-backed storage. The invariant tying the slices together: sym
-// assigns every seen name a SigID; defs, piMark and faninIDs are indexed by
-// SigID and always sym.Len() long; order lists node-creation IDs (stale
+// assigns every seen name a SigID; defs, piMark, poMark and faninIDs are
+// indexed by SigID and always sym.Len() long; order lists node-creation IDs (stale
 // entries of removed nodes are skipped on iteration, exactly like the
 // name-keyed core skipped deleted map entries).
 //
@@ -63,6 +63,7 @@ type Network struct {
 	sym      *SymTab
 	defs     []*Node   // by SigID; nil for PIs, undriven names, removed nodes
 	piMark   []bool    // by SigID
+	poMark   []bool    // by SigID: declared as a primary output
 	faninIDs [][]SigID // by SigID, parallel to defs[id].Fanins; immutable slices
 	pis      []SigID
 	piNames  []string // parallel to pis (the PIs() boundary slice)
@@ -83,6 +84,7 @@ func (nw *Network) intern(name string) SigID {
 	for len(nw.defs) < nw.sym.Len() {
 		nw.defs = append(nw.defs, nil)
 		nw.piMark = append(nw.piMark, false)
+		nw.poMark = append(nw.poMark, false)
 		nw.faninIDs = append(nw.faninIDs, nil)
 	}
 	return id
@@ -117,11 +119,10 @@ func (nw *Network) AddPI(name string) {
 // on networks assembled another way).
 func (nw *Network) AddPO(name string) {
 	id := nw.intern(name)
-	for _, po := range nw.posIDs {
-		if po == id {
-			panic(fmt.Sprintf("network: duplicate primary output %q", name))
-		}
+	if nw.poMark[id] {
+		panic(fmt.Sprintf("network: duplicate primary output %q", name))
 	}
+	nw.poMark[id] = true
 	nw.posIDs = append(nw.posIDs, id)
 	nw.poNames = append(nw.poNames, name)
 }
@@ -243,7 +244,7 @@ func (nw *Network) PIIDs() []SigID { return nw.pis }
 func (nw *Network) POIDs() []SigID { return nw.posIDs }
 
 // RemoveNode deletes the node driving name. The caller must ensure nothing
-// references it (Sweep does this in bulk). The name stays interned: its ID
+// references it (RemoveDead does this in bulk). The name stays interned: its ID
 // is still valid (NodeByID reports nil) and a later AddNode may rebind it.
 func (nw *Network) RemoveNode(name string) {
 	id, ok := nw.sym.Lookup(name)
@@ -263,6 +264,7 @@ func (nw *Network) Clone() *Network {
 		sym:      nw.sym.Clone(),
 		defs:     make([]*Node, len(nw.defs)),
 		piMark:   append([]bool(nil), nw.piMark...),
+		poMark:   append([]bool(nil), nw.poMark...),
 		faninIDs: append([][]SigID(nil), nw.faninIDs...),
 		pis:      append([]SigID(nil), nw.pis...),
 		piNames:  append([]string(nil), nw.piNames...),
@@ -276,22 +278,6 @@ func (nw *Network) Clone() *Network {
 		}
 	}
 	return c
-}
-
-// CopyFrom replaces nw's entire contents with a deep copy of o (used to
-// commit a speculative rewrite produced on a clone).
-func (nw *Network) CopyFrom(o *Network) {
-	c := o.Clone()
-	nw.Name = c.Name
-	nw.sym = c.sym
-	nw.defs = c.defs
-	nw.piMark = c.piMark
-	nw.faninIDs = c.faninIDs
-	nw.pis = c.pis
-	nw.piNames = c.piNames
-	nw.posIDs = c.posIDs
-	nw.poNames = c.poNames
-	nw.order = c.order
 }
 
 // FanoutIDs returns, for every signal ID, the node IDs that read it as a
@@ -586,7 +572,7 @@ func (n *Node) Render() string {
 }
 
 // replaceInPlace binds n to name's existing creation-order slot, bypassing
-// validation — Overlay.Clone's install path for already-validated delta
+// validation — Overlay.ApplyTo's install path for already-validated delta
 // bodies (the overlay checked cycles and cover spaces when the mutation was
 // recorded).
 func (nw *Network) replaceInPlace(name string, n *Node) {
@@ -596,7 +582,7 @@ func (nw *Network) replaceInPlace(name string, n *Node) {
 }
 
 // installAppended binds n to name and appends it to the creation order,
-// bypassing validation — Overlay.Clone's install path for added nodes.
+// bypassing validation — Overlay.ApplyTo's install path for added nodes.
 func (nw *Network) installAppended(name string, n *Node) {
 	id := nw.intern(name)
 	nw.defs[id] = n

@@ -37,6 +37,27 @@ func TestAddPODuplicatePanics(t *testing.T) {
 	mustPanic(t, "duplicate primary output", func() { nw.AddPO("f") })
 }
 
+// TestAddPOMarkIsPerNetwork: the duplicate-PO guard reads an ID-indexed
+// mark, which Clone must copy (a clone still rejects the original's outputs)
+// without aliasing (an output declared on the clone stays free on the
+// original).
+func TestAddPOMarkIsPerNetwork(t *testing.T) {
+	nw := buildSmall()
+	c := nw.Clone()
+	mustPanic(t, "duplicate primary output", func() { c.AddPO("f") })
+	c.AddPO("g")
+	nw.AddPO("g")
+	mustPanic(t, "duplicate primary output", func() { nw.AddPO("g") })
+	for _, x := range []*Network{nw, c} {
+		if err := x.Check(); err != nil {
+			t.Fatal(err)
+		}
+		if got := x.POs(); len(got) != 2 || got[0] != "f" || got[1] != "g" {
+			t.Errorf("POs = %v, want [f g]", got)
+		}
+	}
+}
+
 // buildSmall returns: PIs a,b,c; g = ab; f = g + c; PO f.
 func buildSmall() *Network {
 	nw := New("small")
@@ -331,17 +352,16 @@ func TestLevels(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
+func TestCloneIsDeep(t *testing.T) {
 	a := buildSmall()
-	b := New("other")
-	b.CopyFrom(a)
+	b := a.Clone()
 	if b.Name != a.Name || b.NumNodes() != a.NumNodes() {
-		t.Fatal("CopyFrom incomplete")
+		t.Fatal("Clone incomplete")
 	}
 	// Deep copy: mutating b must not affect a.
 	b.Node("g").Cover = cube.ParseCover(2, "a + b")
 	if a.Node("g").Cover.NumCubes() != 1 {
-		t.Error("CopyFrom aliased node state")
+		t.Error("Clone aliased node state")
 	}
 }
 

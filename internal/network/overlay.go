@@ -14,8 +14,8 @@ import (
 // the whole division machinery (netlist building, window extraction,
 // dependency walks) runs on an overlay exactly as it would on a deep clone —
 // but creating one is O(1), mutating it is O(touched nodes), and discarding
-// it is free. Committing extracts the delta (Added/Changed/Deleted, or
-// ApplyTo) instead of copying the network back.
+// it is free. Committing applies the delta (ApplyTo) instead of copying the
+// network back.
 //
 // Result invisibility is the design contract: every read an Overlay answers
 // is byte-identical to the same read on base.Clone() with the same mutations
@@ -437,19 +437,7 @@ func (o *Overlay) FreshName(prefix string) string {
 // mutations on the clone.
 func (o *Overlay) Clone() *Network {
 	c := o.base.Clone()
-	for _, name := range o.changed {
-		n := o.nodes[name]
-		if n == nil {
-			c.RemoveNode(name)
-			continue
-		}
-		// Replaced nodes keep their creation-order slot; install directly
-		// (the overlay already validated the rewrite).
-		c.replaceInPlace(name, n.Clone())
-	}
-	for _, name := range o.added {
-		c.installAppended(name, o.nodes[name].Clone())
-	}
+	o.ApplyTo(c)
 	return c
 }
 
@@ -609,42 +597,26 @@ func (o *Overlay) Changed() []*Node {
 	return out
 }
 
-// Deleted returns the base node names the overlay removed, in first-touch
-// order.
-func (o *Overlay) Deleted() []string {
-	var out []string
+// ApplyTo commits the overlay's delta to dst: replacements keep their
+// creation-order slot, deletions drop out, and additions append in creation
+// order, so dst ends byte-identical to o.Clone(). dst must agree with the
+// state the overlay was created over on every node the delta reads or
+// writes (the plan/commit engine's invariant). The overlay validated every
+// edit against that state when it was recorded, so the final bodies install
+// without re-checking: replaying ReplaceNodeFunction edit by edit could
+// refuse a transient cycle between two replacements whose final bodies are
+// acyclic. Bodies are copied, so the overlay stays usable.
+func (o *Overlay) ApplyTo(dst *Network) {
 	for _, name := range o.changed {
-		if o.nodes[name] == nil {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// ApplyTo commits the overlay's delta to dst: additions first (in creation
-// order, so replacement bodies may reference them), then replacements (in
-// first-touch order), then deletions. When dst is the overlay's base in the
-// state the overlay was created over — the plan/commit engine's invariant —
-// the result is byte-identical to dst.CopyFrom(o.Clone()), including the
-// node creation order, while only marking the touched signals dirty in dst's
-// signature/cone tables. An application error means dst diverged from the
-// base state; the caller treats that as an engine bug.
-func (o *Overlay) ApplyTo(dst *Network) error {
-	for _, name := range o.added {
-		n := o.nodes[name]
-		dst.AddNode(name, n.Fanins, n.Cover)
-	}
-	for _, name := range o.changed {
-		n := o.nodes[name]
-		if n == nil {
+		if n := o.nodes[name]; n != nil {
+			dst.replaceInPlace(name, n.Clone())
+		} else {
 			dst.RemoveNode(name)
-			continue
-		}
-		if err := dst.ReplaceNodeFunction(name, n.Fanins, n.Cover); err != nil {
-			return err
 		}
 	}
-	return nil
+	for _, name := range o.added {
+		dst.installAppended(name, o.nodes[name].Clone())
+	}
 }
 
 // compile-time check: *Overlay is a Reader.

@@ -87,7 +87,9 @@ func randOverlayCover(r *rand.Rand, k int) cube.Cover {
 // materialized clone that received the same mutations. The op generator
 // never re-adds a deleted base name (additions use the "t" prefix, the
 // generator's nodes the "n" prefix), matching the engine's usage — Overlay
-// documents re-adding as unsupported.
+// documents re-adding as unsupported. ApplyTo, the engine's whole-network
+// commit path, is held to the same contract: replayed onto a fresh clone of
+// the base, the delta must write the same BLIF as the materialized overlay.
 func FuzzOverlayReadEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(42), int64(7))
@@ -248,6 +250,11 @@ func FuzzOverlayReadEquivalence(f *testing.F) {
 		}
 		if got, want := o.Clone().String(), ref.String(); got != want {
 			t.Errorf("Clone diverged from mutated clone:\n%s\nvs:\n%s", got, want)
+		}
+		dst := base.Clone()
+		o.ApplyTo(dst)
+		if got, want := WriteBLIF(dst), WriteBLIF(o.Clone()); got != want {
+			t.Errorf("ApplyTo diverged from Clone:\n%s\nvs:\n%s", got, want)
 		}
 	})
 }
